@@ -48,144 +48,19 @@ final class FSimResult(
   }
 }
 
-/** The multithreaded in-memory reference implementation of Algorithm 1
-  * (the paper's own implementation is multithreaded C++; this plays that
-  * role and doubles as the ground truth the Spark engine is tested against).
+/** The multithreaded in-memory engine for Algorithm 1 (the paper's own
+  * implementation is multithreaded C++; this plays that role). It runs an
+  * [[FSimPlan]] with one parallel-stream sweep over the pairs per iteration.
   */
 object FSimLocal {
 
   /** Compute FSimχ scores for all candidate pairs of (g1, g2). */
   def compute(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig): FSimResult = {
-    val n1 = g1.n; val n2 = g2.n
-
-    // --- label machinery: intern labels, precompute the |Σ1| x |Σ2| L matrix
-    val sigma1 = g1.labels.distinct
-    val sigma2 = g2.labels.distinct
-    val id1 = sigma1.zipWithIndex.toMap
-    val id2 = sigma2.zipWithIndex.toMap
-    val l1 = g1.labels.map(id1)
-    val l2 = g2.labels.map(id2)
-    val lsim = Array.tabulate(sigma1.length, sigma2.length) { (a, b) =>
-      cfg.labelSim(sigma1(a), sigma2(b))
-    }
-
-    // g2 nodes grouped by label id, and per-Σ1-label eligible g2 nodes (L >= θ)
-    val byLabel2 = Array.fill(sigma2.length)(mutable.ArrayBuffer[Int]())
-    for (v <- 0 until n2) byLabel2(l2(v)) += v
-    val eligible2: Array[Array[Int]] = Array.tabulate(sigma1.length) { a =>
-      val buf = mutable.ArrayBuffer[Int]()
-      for (b <- sigma2.indices if lsim(a)(b) >= cfg.theta) buf ++= byLabel2(b)
-      buf.toArray.sorted
-    }
-
-    // --- candidate pairs H_c (paper: only pairs with L >= θ are maintained)
-    val keysBuf = mutable.ArrayBuffer[Long]()
-    for (u <- 0 until n1; v <- eligible2(l1(u))) keysBuf += u.toLong * n2 + v
-    var keys = keysBuf.toArray // sorted: u asc, v asc by construction
-
-    def labelOf(key: Long): Double = lsim(l1((key / n2).toInt))(l2((key % n2).toInt))
-
-    // --- upper-bound updating: compute Eq.-6 bounds, split H into kept/pruned
-    val prunedUb = new mutable.LongMap[Double]()
-    cfg.ub.foreach { u =>
-      val ubs = keys.map(k => upperBound(g1, g2, cfg, (k / n2).toInt, (k % n2).toInt, l1, l2, lsim))
-      val keep = mutable.ArrayBuffer[Long]()
-      var i = 0
-      while (i < keys.length) {
-        if (ubs(i) >= u.beta) keep += keys(i) else prunedUb(keys(i)) = ubs(i)
-        i += 1
+    val plan = new FSimPlan(g1, g2, cfg)
+    plan.converge { (prev, next) =>
+      java.util.stream.IntStream.range(0, plan.size).parallel().forEach { idx =>
+        next(idx) = plan.score(prev, idx)
       }
-      keys = keep.toArray
-    }
-
-    val p = keys.length
-    val index = new mutable.LongMap[Int](p * 2)
-    var i = 0
-    while (i < p) { index(keys(i)) = i; i += 1 }
-
-    val init: (Int, Int) => Double =
-      cfg.initOverride.getOrElse((u, v) => lsim(l1(u))(l2(v)))
-    val labelTerm: (Int, Int) => Double =
-      cfg.labelTermOverride.getOrElse((u, v) => lsim(l1(u))(l2(v)))
-
-    var prev = new Array[Double](p)
-    var next = new Array[Double](p)
-    i = 0
-    while (i < p) {
-      prev(i) = init((keys(i) / n2).toInt, (keys(i) % n2).toInt); i += 1
-    }
-    if (cfg.pinDiagonal) pin(keys, prev, n2, index)
-
-    val alpha = cfg.ub.map(_.alpha).getOrElse(0.0)
-
-    /** weight FSim^{k-1}(x,y) used by the mapping; None if L(x,y) < θ. */
-    def weightOf(scores: Array[Double])(x: Int, y: Int): Double = {
-      if (lsim(l1(x))(l2(y)) < cfg.theta) return -1.0 // ineligible sentinel
-      val slot = index.getOrElse(x.toLong * n2 + y, -1)
-      if (slot >= 0) scores(slot)
-      else prunedUb.get(x.toLong * n2 + y) match {
-        case Some(ub) => alpha * ub
-        case None     => 0.0 // eligible but not maintained (cannot happen w/o ub)
-      }
-    }
-
-    def sideRaw(scores: Array[Double], s1: Array[Int], s2: Array[Int]): Double = {
-      if (s1.isEmpty && s2.isEmpty) return 0.0 // term() handles the convention
-      val wf = weightOf(scores) _
-      val cands = mutable.ArrayBuffer[Matching.Cand]()
-      var a = 0
-      while (a < s1.length) {
-        var b = 0
-        while (b < s2.length) {
-          val w = wf(s1(a), s2(b))
-          if (w >= 0.0) cands += Matching.Cand(s1(a), s2(b), w)
-          b += 1
-        }
-        a += 1
-      }
-      Matching.mapRaw(cfg.variant, cands.toSeq)
-    }
-
-    val maxIters = cfg.exactIters.getOrElse(math.min(cfg.maxIters, cfg.iterationBound + 1))
-    var iter = 0
-    var delta = Double.MaxValue
-    var done = false
-    while (!done && iter < maxIters) {
-      val prevScores = prev
-      val nextScores = next
-      java.util.stream.IntStream.range(0, p).parallel().forEach { idx =>
-        val u = (keys(idx) / n2).toInt
-        val v = (keys(idx) % n2).toInt
-        val outTerm = Matching.term(cfg.variant,
-          sideRaw(prevScores, g1.outAdj(u), g2.outAdj(v)), g1.outDeg(u), g2.outDeg(v))
-        val inTerm = Matching.term(cfg.variant,
-          sideRaw(prevScores, g1.inAdj(u), g2.inAdj(v)), g1.inDeg(u), g2.inDeg(v))
-        nextScores(idx) = cfg.wPlus * outTerm + cfg.wMinus * inTerm +
-          cfg.wLabel * labelTerm(u, v)
-      }
-      if (cfg.pinDiagonal) pin(keys, nextScores, n2, index)
-      delta = 0.0
-      var j = 0
-      while (j < p) {
-        val d = math.abs(nextScores(j) - prevScores(j))
-        if (d > delta) delta = d
-        j += 1
-      }
-      val t = prev; prev = next; next = t
-      iter += 1
-      if (cfg.exactIters.isEmpty && delta < cfg.epsilon) done = true
-    }
-
-    new FSimResult(n2, keys, prev, iter, delta)
-  }
-
-  private def pin(keys: Array[Long], scores: Array[Double], n2: Int,
-                  index: mutable.LongMap[Int]): Unit = {
-    var u = 0
-    val n1 = if (keys.isEmpty) 0 else (keys.last / n2).toInt + 1
-    while (u < math.min(n1, n2)) {
-      index.get(u.toLong * n2 + u).foreach(slot => scores(slot) = 1.0)
-      u += 1
     }
   }
 

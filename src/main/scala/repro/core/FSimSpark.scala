@@ -1,14 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
-
-/** One (u,v,x,y) neighbor-pair contribution row with the previous-iteration
-  * score w = FSim^{k-1}(x,y). Top-level case class so Spark can derive an
-  * encoder for the typed `groupByKey` aggregation.
-  */
-final case class Contrib(u: Long, v: Long, x: Long, y: Long, w: Double)
+import repro.graph.{GraphFrames, LocalGraph}
 
 /** Result of a distributed FSimχ run: converged candidate-pair scores as a
   * DataFrame (u, v, score) plus run metadata.
@@ -19,115 +12,49 @@ final case class FSimSparkResult(scores: DataFrame, iterations: Int, finalDelta:
     scores.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
 }
 
-/** FSimχ as an iterative DataFrame fixpoint — the paper's Algorithm 1 as a
-  * distributed dataflow (per the reproduction band: "iterative message
-  * passing / fixpoint computation over graph edges").
+/** FSimχ on Spark: the same [[FSimPlan]] and fixpoint loop as [[FSimLocal]],
+  * with each sweep distributed over the cluster.
   *
-  * Per iteration, for each side S ∈ {out, in}:
-  *   candidates ⋈ edges1 ⋈ edges2 ⋈ prevScores   → Contrib rows
-  *   groupByKey (u,v) → Matching.mapRaw (the Mχ maximum-mapping operator)
-  *   normalize by Ωχ with degree columns, combine with the label term.
-  * Convergence is the driver-side max |Δscore| < ε test of §3.3, bounded by
-  * Corollary 1. `localCheckpoint` truncates the per-iteration lineage.
-  *
-  * The mapping/normalizing code is shared with [[FSimLocal]] (deterministic
-  * greedy tie-breaking), so both engines produce identical scores — asserted
-  * in FSimSparkSpec.
+  * The plan is broadcast once. Its candidate pairs, sorted by u, are cut
+  * into one contiguous block per `defaultParallelism` slot. Each iteration
+  * broadcasts FSim^{k-1}, and one `mapPartitions` task per block returns
+  * that block's slice of FSim^k; the driver runs the max |Δ| < ε test.
+  * Nothing is shuffled, so the scores equal FSimLocal's by construction and
+  * do not depend on the shuffle partition count.
   */
 object FSimSpark {
 
+  /** FSimχ over the canonical node/edge frames of [[GraphFrames]], which
+    * are collected and validated by [[GraphFrames.toLocal]].
+    */
   def compute(spark: SparkSession,
               nodes1: DataFrame, edges1: DataFrame,
               nodes2: DataFrame, edges2: DataFrame,
+              cfg: FSimConfig): FSimSparkResult =
+    compute(spark, GraphFrames.toLocal(nodes1, edges1), GraphFrames.toLocal(nodes2, edges2), cfg)
+
+  def compute(spark: SparkSession, g1: LocalGraph, g2: LocalGraph,
               cfg: FSimConfig): FSimSparkResult = {
-    require(cfg.ub.isEmpty && cfg.initOverride.isEmpty && cfg.labelTermOverride.isEmpty
-      && !cfg.pinDiagonal,
-      "FSimSpark implements the standard FSimχ path; §4.3 configurations and " +
-        "upper-bound updating are exercised through FSimLocal")
+    val sc = spark.sparkContext
+    val plan = new FSimPlan(g1, g2, cfg)
+    val planB = sc.broadcast(plan)
+    val nBlocks = sc.defaultParallelism
+    val cuts = (0 to nBlocks).map(b => (plan.size.toLong * b / nBlocks).toInt)
+    val blocks = sc.parallelize(cuts.init.zip(cuts.tail), nBlocks)
+    val res = plan.converge { (prev, next) =>
+      val prevB = sc.broadcast(prev)
+      blocks.mapPartitions(_.map { case (lo, hi) =>
+        val (pl, pr) = (planB.value, prevB.value)
+        (lo, Array.tabulate(hi - lo)(i => pl.score(pr, lo + i)))
+      }).collect().foreach { case (lo, slice) =>
+        System.arraycopy(slice, 0, next, lo, slice.length)
+      }
+      prevB.destroy()
+    }
+    planB.destroy()
+
     import spark.implicits._
-
-    val variant = cfg.variant
-    val theta = cfg.theta
-    val lSim = cfg.labelSim
-    val lsimUdf = udf((a: String, b: String) => lSim(a, b))
-    val termUdf = udf((raw: Double, d1: Long, d2: Long) =>
-      Matching.term(variant, raw, d1.toInt, d2.toInt))
-
-    def degrees(edges: DataFrame, key: String, out: String): DataFrame =
-      edges.groupBy(col(key).as("id")).agg(count(lit(1)).as(out))
-
-    // Candidate pairs H: label-constrained (Remark 2), with full-graph degrees.
-    val cand = nodes1.select(col("id").as("u"), col("label").as("lu"))
-      .crossJoin(nodes2.select(col("id").as("v"), col("label").as("lv")))
-      .withColumn("lbl", lsimUdf(col("lu"), col("lv")))
-      .filter(col("lbl") >= theta)
-      .join(degrees(edges1, "src", "d1o"), col("u") === col("id"), "left").drop("id")
-      .join(degrees(edges1, "dst", "d1i"), col("u") === col("id"), "left").drop("id")
-      .join(degrees(edges2, "src", "d2o"), col("v") === col("id"), "left").drop("id")
-      .join(degrees(edges2, "dst", "d2i"), col("v") === col("id"), "left").drop("id")
-      .select(col("u"), col("v"), col("lbl"),
-        coalesce(col("d1o"), lit(0L)).as("d1o"), coalesce(col("d1i"), lit(0L)).as("d1i"),
-        coalesce(col("d2o"), lit(0L)).as("d2o"), coalesce(col("d2i"), lit(0L)).as("d2i"))
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    if (cand.count() == 0L) {
-      return FSimSparkResult(cand.select(col("u"), col("v"), col("lbl").as("score")), 0, 0.0)
-    }
-
-    val e1o = edges1.select(col("src").as("u"), col("dst").as("x"))
-    val e1i = edges1.select(col("dst").as("u"), col("src").as("x"))
-    val e2o = edges2.select(col("src").as("v"), col("dst").as("y"))
-    val e2i = edges2.select(col("dst").as("v"), col("src").as("y"))
-
-    /** Σ FSim^{k-1} over the maximum mapping, per (u,v), for one side. */
-    def sideRaw(prev: DataFrame, e1: DataFrame, e2: DataFrame, name: String): DataFrame = {
-      val contribs = cand.select("u", "v")
-        .join(e1, "u")
-        .join(e2, "v")
-        .join(prev.select(col("u").as("x"), col("v").as("y"), col("score").as("w")),
-          Seq("x", "y")) // inner: eligible pairs are exactly the maintained pairs
-        .select(col("u"), col("v"), col("x"), col("y"), col("w"))
-        .as[Contrib]
-      contribs
-        .groupByKey(c => (c.u, c.v))
-        .mapGroups { (key: (Long, Long), it: Iterator[Contrib]) =>
-          (key._1, key._2,
-            Matching.mapRaw(variant, it.map(c => Matching.Cand(c.x, c.y, c.w)).toSeq))
-        }
-        .toDF("u", "v", name)
-    }
-
-    var prev = cand.select(col("u"), col("v"), col("lbl").cast("double").as("score"))
-      .localCheckpoint(true)
-
-    val maxIters = cfg.exactIters.getOrElse(math.min(cfg.maxIters, cfg.iterationBound + 1))
-    var iter = 0
-    var delta = Double.MaxValue
-    var done = false
-    while (!done && iter < maxIters) {
-      val next = cand
-        .join(sideRaw(prev, e1o, e2o, "rawOut"), Seq("u", "v"), "left")
-        .join(sideRaw(prev, e1i, e2i, "rawIn"), Seq("u", "v"), "left")
-        .select(col("u"), col("v"),
-          (lit(cfg.wPlus) * termUdf(coalesce(col("rawOut"), lit(0.0)), col("d1o"), col("d2o")) +
-            lit(cfg.wMinus) * termUdf(coalesce(col("rawIn"), lit(0.0)), col("d1i"), col("d2i")) +
-            lit(cfg.wLabel) * col("lbl")).as("score"))
-        .localCheckpoint(true)
-      delta = next.as("n").join(prev.as("p"), Seq("u", "v"))
-        .agg(max(abs(col("n.score") - col("p.score"))))
-        .first().getDouble(0)
-      prev = next
-      iter += 1
-      if (cfg.exactIters.isEmpty && delta < cfg.epsilon) done = true
-    }
-    cand.unpersist()
-    FSimSparkResult(prev, iter, delta)
-  }
-
-  /** Convenience wrapper over [[repro.graph.LocalGraph]] inputs. */
-  def compute(spark: SparkSession, g1: repro.graph.LocalGraph, g2: repro.graph.LocalGraph,
-              cfg: FSimConfig): FSimSparkResult = {
-    import repro.graph.GraphFrames._
-    compute(spark, nodesDF(spark, g1), edgesDF(spark, g1),
-      nodesDF(spark, g2), edgesDF(spark, g2), cfg)
+    val scores = res.pairs.map { case (u, v, s) => (u.toLong, v.toLong, s) }.toSeq
+    FSimSparkResult(scores.toDF("u", "v", "score"), res.iterations, res.finalDelta)
   }
 }

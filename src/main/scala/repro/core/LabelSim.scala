@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.concurrent.TrieMap
-
 /** Label-similarity functions L(·) of Eq. 1. The paper requires
   * L(a,b) = 1 ⇔ a == b for the default initialization to keep FSimχ
   * well-defined (Section 3.3) — all three functions here satisfy that.
@@ -10,14 +8,11 @@ sealed trait LabelSim extends Serializable {
   def name: String
   def sim(a: String, b: String): Double
 
-  private val cache = TrieMap.empty[(String, String), Double]
-
-  /** Memoized similarity — L depends only on the two labels, and label
-    * alphabets are small relative to node counts, so this turns the per-pair
-    * cost into a lookup.
+  /** L(a, b), with L(a, a) = 1 fixed. Engines call it once per label pair
+    * (see [[FSimPlan]]), so nothing is cached.
     */
   final def apply(a: String, b: String): Double =
-    if (a == b) 1.0 else cache.getOrElseUpdate((a, b), sim(a, b))
+    if (a == b) 1.0 else sim(a, b)
 }
 
 object LabelSim {

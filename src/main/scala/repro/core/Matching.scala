@@ -24,9 +24,8 @@ object Variant {
 
 /** Mapping operators Mχ and normalizers Ωχ (Eq. 2 / Table 3 of the paper).
   *
-  * Shared verbatim by the local reference engine and the Spark engine
-  * (inside `mapGroups`), with deterministic tie-breaking, so the two produce
-  * bit-identical scores.
+  * Called from [[FSimPlan.score]], which both engines run. Tie-breaking is
+  * deterministic, so scores do not depend on how the pairs are distributed.
   */
 object Matching {
 

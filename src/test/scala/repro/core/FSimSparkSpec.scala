@@ -3,16 +3,18 @@ package repro.core
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.GraphFrames
 
-/** The Spark engine must agree with the local reference engine bit-for-bit
-  * (shared mapping operators, deterministic tie-breaking).
+/** The Spark engine must agree with the local engine bit-for-bit: both run
+  * the same FSimPlan, so only the distribution of the sweep differs.
   */
 class FSimSparkSpec extends SparkSpec {
 
   private def assertEnginesAgree(cfg: FSimConfig, seed: Int, n1: Int = 9, n2: Int = 10): Unit = {
     val g1 = TestGraphs.uniform(n1, 2 * n1, 2, seed)
     val g2 = TestGraphs.uniform(n2, 2 * n2, 2, seed + 77)
-    val local = FSimLocal.compute(g1, g2, cfg)
-    val dist = FSimSpark.compute(spark, g1, g2, cfg)
+    assertAgree(FSimLocal.compute(g1, g2, cfg), FSimSpark.compute(spark, g1, g2, cfg))
+  }
+
+  private def assertAgree(local: FSimResult, dist: FSimSparkResult): Unit = {
     val distScores = dist.collectScores()
     assert(distScores.size === local.numPairs, "candidate-pair sets differ")
     for (((u, v), s) <- distScores)
@@ -69,6 +71,50 @@ class FSimSparkSpec extends SparkSpec {
         assert((s >= 1.0 - 1e-6) === expected, s"χ=${variant.name} (u,$vName): $s")
       }
     }
+  }
+
+  test("spark == local with upper-bound updating (α=0, β=0.5)") {
+    val cfg = FSimConfig(Variant.BJ, 0.4, 0.4, theta = 1.0, exactIters = Some(5),
+      ub = Some(UbConfig(0.0, 0.5)))
+    val g1 = TestGraphs.uniform(9, 18, 2, 6)
+    val g2 = TestGraphs.uniform(10, 20, 2, 83)
+    val local = FSimLocal.compute(g1, g2, cfg)
+    assert(local.numPairs < FSimLocal.compute(g1, g2, cfg.copy(ub = None)).numPairs,
+      "the bounds prune no pair")
+    assertAgree(local, FSimSpark.compute(spark, g1, g2, cfg))
+  }
+
+  test("spark == local in the §4.3 SimRank configuration") {
+    val g = TestGraphs.uniform(9, 18, 1, 7)
+    val cfg = SimRankRoleSim.simRankConfig(0.8, 5)
+    assertAgree(FSimLocal.compute(g, g, cfg), FSimSpark.compute(spark, g, g, cfg))
+  }
+
+  test("duplicate edges in the input frames are dropped, as in LocalGraph.fromEdges") {
+    import spark.implicits._
+    val g1 = TestGraphs.uniform(9, 18, 2, 4)
+    val g2 = TestGraphs.uniform(10, 20, 2, 81)
+    val cfg = FSimConfig(Variant.BJ, 0.4, 0.4, exactIters = Some(5))
+    val (a, b) = g1.edges.next()
+    val edges1 = GraphFrames.edgesDF(spark, g1).union(Seq((a.toLong, b.toLong)).toDF("src", "dst"))
+    assertAgree(FSimLocal.compute(g1, g2, cfg),
+      FSimSpark.compute(spark, GraphFrames.nodesDF(spark, g1), edges1,
+        GraphFrames.nodesDF(spark, g2), GraphFrames.edgesDF(spark, g2), cfg))
+  }
+
+  test("scores and iterations do not depend on the shuffle partition count") {
+    val g1 = TestGraphs.uniform(9, 18, 2, 3)
+    val g2 = TestGraphs.uniform(10, 20, 2, 80)
+    val cfg = FSimConfig(Variant.BJ, 0.4, 0.4, theta = 0.0, epsilon = 0.01)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val runs = try Seq(1, 4, 64).map { parts =>
+      spark.conf.set(key, parts.toLong)
+      val res = FSimSpark.compute(spark, GraphFrames.nodesDF(spark, g1), GraphFrames.edgesDF(spark, g1),
+        GraphFrames.nodesDF(spark, g2), GraphFrames.edgesDF(spark, g2), cfg)
+      (res.collectScores(), res.iterations)
+    } finally spark.conf.set(key, saved)
+    assert(runs.distinct.size === 1)
   }
 
   test("empty candidate set returns an empty result") {

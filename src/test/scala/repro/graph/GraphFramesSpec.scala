@@ -46,6 +46,31 @@ class GraphFramesSpec extends SparkSpec {
       .map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSet
     assert(nodes === (0 until g.n).map(i => i -> g.labels(i)).toMap)
     assert(edges === g.edges.toSet)
+    val back = GraphFrames.toLocal(GraphFrames.nodesDF(spark, g), GraphFrames.edgesDF(spark, g))
+    assert(back.labels.toSeq === g.labels.toSeq)
+    assert(back.edges.toSeq === g.edges.toSeq)
+  }
+
+  private def toLocal(nodes: Seq[(Long, String)], edges: Seq[(Long, Long)]) = {
+    import spark.implicits._
+    GraphFrames.toLocal(nodes.toDF("id", "label"), edges.toDF("src", "dst"))
+  }
+
+  test("toLocal rejects node ids that are not 0..n-1") {
+    intercept[IllegalArgumentException](toLocal(Seq(0L -> "a", 2L -> "b"), Nil))
+  }
+
+  test("toLocal rejects a node id given twice") {
+    intercept[IllegalArgumentException](toLocal(Seq(0L -> "a", 0L -> "b"), Nil))
+  }
+
+  test("toLocal rejects a null label") {
+    intercept[IllegalArgumentException](toLocal(Seq(0L -> "a", 1L -> null), Nil))
+  }
+
+  test("toLocal rejects an edge endpoint outside the node ids") {
+    intercept[IllegalArgumentException](toLocal(Seq(0L -> "a", 1L -> "b"), Seq(0L -> 2L)))
+    intercept[IllegalArgumentException](toLocal(Seq(0L -> "a", 1L -> "b"), Seq(-1L -> 0L)))
   }
 
   test("degree histogram matches DuckDB oracle") {
