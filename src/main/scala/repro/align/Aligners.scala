@@ -47,15 +47,19 @@ final class FSimAligner(variant: Variant,
   }
 }
 
-/** k-bisimulation aligner: A_u = {v : sig_k(u) == sig_k(v)} with signatures
-  * computed over the disjoint union (so classes are comparable across the
-  * two graphs), per [21]/[10].
+/** k-bisimulation aligner: A_u = {v : cls(u) == cls(v)}, where
+  * `classes(union, k)` gives the class of each node of the disjoint union
+  * (so classes are comparable across the two graphs), per [21]/[10]. The
+  * default is the local partition [[KBisimulation.classes]]; Table 9 passes
+  * the Spark signatures.
   */
-final class KBisimAligner(k: Int) extends Aligner {
+final class KBisimAligner(k: Int,
+                          classes: (LocalGraph, Int) => Int => Any =
+                            (union, depth) => KBisimulation.classes(union, depth).toSeq)
+    extends Aligner {
   val name = s"$k-bisim"
   def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
-    val union = g1.disjointUnion(g2)
-    val cls = KBisimulation.classes(union, k)
+    val cls = classes(g1.disjointUnion(g2), k)
     val byClass2 = (0 until g2.n).groupBy(v => cls(g1.n + v))
     (0 until g1.n).map(u => u -> byClass2.getOrElse(cls(u), Seq.empty).toSeq).toMap
   }

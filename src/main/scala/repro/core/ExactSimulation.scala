@@ -69,40 +69,49 @@ object ExactSimulation {
   }
 }
 
-/** Kuhn's augmenting-path maximum bipartite matching over an implicit
-  * adjacency predicate. Small-side sizes here are node degrees, so the
-  * O(V·E) worst case is cheap.
+/** Kuhn's augmenting-path maximum bipartite matching — the one matcher of
+  * the repository, used by exact dp/bj simulation and by the weight-1
+  * refinement of [[Matching]]. Small-side sizes here are node degrees, so
+  * the O(V·E) worst case is cheap.
   */
 object Bipartite {
 
-  /** Size of the maximum matching between s1 and s2 where (s1(i), s2(j)) is
-    * an edge iff allowed(s1(i), s2(j)).
+  /** Maximum matching of rows 0 until adj.length to columns 0 until m, where
+    * adj(i) lists row i's columns in ascending order; each row tries its
+    * columns in that order. Returns, per column, its matched row or -1.
     */
-  def maxMatching(s1: Array[Int], s2: Array[Int], allowed: (Int, Int) => Boolean): Int = {
-    val n = s1.length; val m = s2.length
-    if (n == 0 || m == 0) return 0
-    val matchOf = Array.fill(m)(-1) // s2 slot -> s1 slot
-    var size = 0
+  def matching(adj: Array[Array[Int]], m: Int): Array[Int] = {
+    val matchOf = Array.fill(m)(-1)
     val visited = new Array[Boolean](m)
 
     def tryKuhn(i: Int): Boolean = {
-      var j = 0
-      while (j < m) {
-        if (!visited(j) && allowed(s1(i), s2(j))) {
+      val cols = adj(i)
+      var k = 0
+      while (k < cols.length) {
+        val j = cols(k)
+        if (!visited(j)) {
           visited(j) = true
           if (matchOf(j) < 0 || tryKuhn(matchOf(j))) { matchOf(j) = i; return true }
         }
-        j += 1
+        k += 1
       }
       false
     }
 
     var i = 0
-    while (i < n) {
+    while (i < adj.length) {
       java.util.Arrays.fill(visited, false)
-      if (tryKuhn(i)) size += 1
+      tryKuhn(i)
       i += 1
     }
-    size
+    matchOf
+  }
+
+  /** Size of the maximum matching between s1 and s2 where (s1(i), s2(j)) is
+    * an edge iff allowed(s1(i), s2(j)).
+    */
+  def maxMatching(s1: Array[Int], s2: Array[Int], allowed: (Int, Int) => Boolean): Int = {
+    val adj = s1.map(x => s2.indices.filter(j => allowed(x, s2(j))).toArray)
+    matching(adj, s2.length).count(_ >= 0)
   }
 }

@@ -63,22 +63,4 @@ object FSimLocal {
       }
     }
   }
-
-  /** The Eq.-6 upper bound FSim̄χ(u,v): both mapping terms at their maximum
-    * |M|/Ω (every score ≤ 1) plus the label term.
-    */
-  def upperBound(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig, u: Int, v: Int,
-                 l1: Array[Int], l2: Array[Int], lsim: Array[Array[Double]]): Double = {
-    def side(s1: Array[Int], s2: Array[Int]): Double = {
-      val cands = for {
-        x <- s1.toSeq; y <- s2.toSeq
-        if lsim(l1(x))(l2(y)) >= cfg.theta
-      } yield Matching.Cand(x, y, 1.0)
-      Matching.term(cfg.variant, Matching.mapSize(cfg.variant, cands).toDouble,
-        s1.length, s2.length)
-    }
-    cfg.wPlus * side(g1.outAdj(u), g2.outAdj(v)) +
-      cfg.wMinus * side(g1.inAdj(u), g2.inAdj(v)) +
-      cfg.wLabel * lsim(l1(u))(l2(v))
-  }
 }

@@ -6,8 +6,10 @@ import scala.collection.mutable
 /** Algorithm 1 for one (G1, G2, cfg), prepared once: the label matrix, the
   * candidate pairs H with their Eq.-6 pruning, the per-pair Eq.-3 update
   * [[score]] and the fixpoint loop [[converge]]. Both engines run a plan;
-  * they differ only in the sweep that applies `score` to every pair.
-  * Serializable so that the Spark engine can broadcast it.
+  * they differ only in the sweep that applies `score` to every pair. The
+  * Eq.-6 bound [[upperBound]] is the same update with every eligible
+  * neighbour score set to 1. Serializable so that the Spark engine can
+  * broadcast it.
   */
 final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Serializable {
   private val n2 = g2.n
@@ -42,8 +44,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
     // --- upper-bound updating: compute Eq.-6 bounds, split H into kept/pruned
     cfg.ub.foreach { u =>
-      val ubs = h.map(k =>
-        FSimLocal.upperBound(g1, g2, cfg, (k / n2).toInt, (k % n2).toInt, l1, l2, lsim))
+      val ubs = h.map(k => upperBound((k / n2).toInt, (k % n2).toInt))
       val keep = mutable.ArrayBuffer[Long]()
       var i = 0
       while (i < h.length) {
@@ -66,20 +67,23 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     index
   }
 
-  private def perPair(f: Option[(Int, Int) => Double]): Array[Double] = {
-    val g = f.getOrElse((u: Int, v: Int) => lsim(l1(u))(l2(v)))
-    keys.map(k => g((k / n2).toInt, (k % n2).toInt))
-  }
+  private def labelSim(u: Int, v: Int): Double = lsim(l1(u))(l2(v))
 
-  /** FSim⁰ per pair, and the value standing for L(u, v) in the label term. */
-  private val init = perPair(cfg.initOverride)
-  private val labelTerm = perPair(cfg.labelTermOverride)
+  /** The value standing for L(u, v) in the label term. */
+  private def labelTermOf(u: Int, v: Int): Double =
+    cfg.labelTermOverride.fold(labelSim(u, v))(_(u, v))
+
+  private def perPair(g: (Int, Int) => Double): Array[Double] =
+    keys.map(k => g((k / n2).toInt, (k % n2).toInt))
+
+  /** FSim⁰ and the label term, per maintained pair. */
+  private val init = perPair(cfg.initOverride.getOrElse(labelSim _))
+  private val labelTerm = perPair(labelTermOf)
 
   private val alpha = cfg.ub.map(_.alpha).getOrElse(0.0)
 
-  /** weight FSim^{k-1}(x,y) used by the mapping; None if L(x,y) < θ. */
-  private def weightOf(scores: Array[Double])(x: Int, y: Int): Double = {
-    if (lsim(l1(x))(l2(y)) < cfg.theta) return -1.0 // ineligible sentinel
+  /** FSim^{k-1}(x, y) of an eligible neighbour pair, as read by the update. */
+  private def prevScore(scores: Array[Double])(x: Int, y: Int): Double = {
     val slot = index.getOrElse(x.toLong * n2 + y, -1)
     if (slot >= 0) scores(slot)
     else prunedUb.get(x.toLong * n2 + y) match {
@@ -88,33 +92,37 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     }
   }
 
-  private def sideRaw(scores: Array[Double], s1: Array[Int], s2: Array[Int]): Double = {
-    if (s1.isEmpty && s2.isEmpty) return 0.0 // term() handles the convention
-    val wf = weightOf(scores) _
+  /** One side term of Eq. 3: Mχ over the eligible (L ≥ θ) pairs of
+    * s1 × s2 weighted by `weight`, normalized by Ωχ.
+    */
+  private def side(weight: (Int, Int) => Double, s1: Array[Int], s2: Array[Int]): Double = {
     val cands = mutable.ArrayBuffer[Matching.Cand]()
     var a = 0
     while (a < s1.length) {
       var b = 0
       while (b < s2.length) {
-        val w = wf(s1(a), s2(b))
-        if (w >= 0.0) cands += Matching.Cand(s1(a), s2(b), w)
+        if (labelSim(s1(a), s2(b)) >= cfg.theta)
+          cands += Matching.Cand(s1(a), s2(b), weight(s1(a), s2(b)))
         b += 1
       }
       a += 1
     }
-    Matching.mapRaw(cfg.variant, cands.toSeq)
+    Matching.term(cfg.variant, Matching.mapRaw(cfg.variant, cands), s1.length, s2.length)
   }
 
+  /** Eq. 3 for (u, v) with neighbour weights `weight` and label term `label`. */
+  private def update(weight: (Int, Int) => Double, u: Int, v: Int, label: Double): Double =
+    cfg.wPlus * side(weight, g1.outAdj(u), g2.outAdj(v)) +
+      cfg.wMinus * side(weight, g1.inAdj(u), g2.inAdj(v)) + cfg.wLabel * label
+
   /** Eq. 3: FSim^k of pair `idx` from the previous scores `prev`. */
-  def score(prev: Array[Double], idx: Int): Double = {
-    val u = (keys(idx) / n2).toInt
-    val v = (keys(idx) % n2).toInt
-    val outTerm = Matching.term(cfg.variant,
-      sideRaw(prev, g1.outAdj(u), g2.outAdj(v)), g1.outDeg(u), g2.outDeg(v))
-    val inTerm = Matching.term(cfg.variant,
-      sideRaw(prev, g1.inAdj(u), g2.inAdj(v)), g1.inDeg(u), g2.inDeg(v))
-    cfg.wPlus * outTerm + cfg.wMinus * inTerm + cfg.wLabel * labelTerm(idx)
-  }
+  def score(prev: Array[Double], idx: Int): Double =
+    update(prevScore(prev), (keys(idx) / n2).toInt, (keys(idx) % n2).toInt, labelTerm(idx))
+
+  /** Eq. 6: the bound FSim̄χ(u, v) ≥ FSimχ(u, v), i.e. Eq. 3 with every
+    * eligible neighbour score at its maximum 1, so each side is |Mχ|/Ωχ.
+    */
+  def upperBound(u: Int, v: Int): Double = update((_, _) => 1.0, u, v, labelTermOf(u, v))
 
   /** The fixpoint loop of Algorithm 1, from FSim⁰ until max |Δ| < ε (or for
     * exactly `exactIters` sweeps), capped by Corollary 1. `sweep(prev, next)`

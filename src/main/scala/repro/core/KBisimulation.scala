@@ -8,58 +8,25 @@ import repro.graph.LocalGraph
   * k-bisimilar to v iff ℓ(u)=ℓ(v) and the *sets* of (k-1)-bisimilarity
   * classes of their out-neighbors coincide. Classes are exact partition ids
   * (no hashing) in the local version; the Spark version uses 64-bit
-  * signatures (collision-free in practice, cross-checked in tests).
+  * signatures (collision-free in practice, cross-checked in tests). Either
+  * one is the class function of [[repro.align.KBisimAligner]].
   */
 object KBisimulation {
 
   /** class ids after k refinements: sig(k)(u) == sig(k)(v) ⇔ u,v k-bisimilar. */
   def classes(g: LocalGraph, k: Int): Array[Int] = {
-    var cls: Array[Int] = {
+    val labelClass: Array[Int] = {
       val ids = collection.mutable.HashMap.empty[String, Int]
       g.labels.map(l => ids.getOrElseUpdate(l, ids.size))
     }
+    var cls = labelClass
     for (_ <- 1 to k) {
       val ids = collection.mutable.HashMap.empty[(Int, Set[Int]), Int]
       cls = Array.tabulate(g.n) { u =>
         // label class (= round-0 class) + set of neighbor classes, per [21]
-        val key = (labelClass(g)(u), g.outAdj(u).map(cls).toSet)
+        val key = (labelClass(u), g.outAdj(u).map(cls).toSet)
         ids.getOrElseUpdate(key, ids.size)
       }
-    }
-    cls
-  }
-
-  private val labelClassCache = new java.util.WeakHashMap[LocalGraph, Array[Int]]()
-  private def labelClass(g: LocalGraph): Array[Int] = labelClassCache.synchronized {
-    var a = labelClassCache.get(g)
-    if (a == null) {
-      val ids = collection.mutable.HashMap.empty[String, Int]
-      a = g.labels.map(l => ids.getOrElseUpdate(l, ids.size))
-      labelClassCache.put(g, a)
-    }
-    a
-  }
-
-  /** Full bisimulation classes: refine until fixpoint (considering out- and
-    * in-neighbors, so it is the partition of Definition 2's b-simulation on a
-    * single graph). Used by the Olap-style aligner and the "exact bisimulation
-    * scores 0%" remark of Table 9.
-    */
-  def fullClasses(g: LocalGraph, useIn: Boolean = true): Array[Int] = {
-    val ids0 = collection.mutable.HashMap.empty[String, Int]
-    var cls = g.labels.map(l => ids0.getOrElseUpdate(l, ids0.size))
-    var count = ids0.size
-    var changed = true
-    while (changed) {
-      val ids = collection.mutable.HashMap.empty[(Int, Set[Int], Set[Int]), Int]
-      val next = Array.tabulate(g.n) { u =>
-        val key = (cls(u), g.outAdj(u).map(cls).toSet,
-          if (useIn) g.inAdj(u).map(cls).toSet else Set.empty[Int])
-        ids.getOrElseUpdate(key, ids.size)
-      }
-      changed = ids.size != count
-      count = ids.size
-      cls = next
     }
     cls
   }

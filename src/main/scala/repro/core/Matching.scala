@@ -24,8 +24,10 @@ object Variant {
 
 /** Mapping operators Mχ and normalizers Ωχ (Eq. 2 / Table 3 of the paper).
   *
-  * Called from [[FSimPlan.score]], which both engines run. Tie-breaking is
-  * deterministic, so scores do not depend on how the pairs are distributed.
+  * Called from [[FSimPlan]]'s side function, which both engines run: with
+  * the previous scores as weights it is the Eq.-3 update, with unit weights
+  * it is the Eq.-6 upper bound. Tie-breaking is deterministic, so scores do
+  * not depend on how the pairs are distributed.
   */
 object Matching {
 
@@ -33,35 +35,23 @@ object Matching {
     * score w = FSim^{k-1}(x, y). Only L(x,y) ≥ θ pairs may be passed in —
     * eligibility is the caller's job (Remark 2, label-constrained mapping).
     */
-  final case class Cand(x: Long, y: Long, w: Double)
+  final case class Cand(x: Int, y: Int, w: Double)
 
-  /** Raw value Σ FSim^{k-1} over the maximum mapping Mχ(S1, S2) — the
-    * numerator of Eq. 2 before dividing by Ωχ. `n1`/`n2` are |S1|/|S2|
-    * (needed because `pairs` lists only *eligible* pairs).
+  /** Raw value Σ w over the maximum mapping Mχ(S1, S2) — the numerator of
+    * Eq. 2 before dividing by Ωχ. At unit weights it is |Mχ|, the numerator
+    * of the Eq.-6 upper bound.
     *
     * dp/bj use the greedy approximation of maximum weighted matching the
     * paper adopts from [23]; s/b take per-node maxima; the SimRank
     * configuration sums everything.
     */
-  def mapRaw(variant: Variant, pairs: Seq[Cand]): Double = variant match {
-    case Variant.S          => sumRowMax(pairs)
-    case Variant.B          => sumRowMax(pairs) + sumColMax(pairs)
+  def mapRaw(variant: Variant, pairs: collection.Seq[Cand]): Double = variant match {
+    case Variant.S          => sumMax(pairs, _.x)
+    case Variant.B          => sumMax(pairs, _.x) + sumMax(pairs, _.y)
     case Variant.DP         => greedyMatchSum(pairs)
     case Variant.BJ         => greedyMatchSum(pairs)
     case Variant.RoleSimCfg => greedyMatchSum(pairs)
     case Variant.SimRankCfg => pairs.iterator.map(_.w).sum
-  }
-
-  /** Number of pairs |Mχ| that the maximum mapping can contain — used by the
-    * upper bound of Eq. 6 (scores are ≤ 1, so ub = Σ weights bounded by |M|).
-    */
-  def mapSize(variant: Variant, pairs: Seq[Cand]): Int = variant match {
-    case Variant.S          => pairs.iterator.map(_.x).toSet.size
-    case Variant.B          => pairs.iterator.map(_.x).toSet.size + pairs.iterator.map(_.y).toSet.size
-    case Variant.DP         => greedyMatchCount(pairs)
-    case Variant.BJ         => greedyMatchCount(pairs)
-    case Variant.RoleSimCfg => greedyMatchCount(pairs)
-    case Variant.SimRankCfg => pairs.size
   }
 
   /** Final per-side term of Eq. 3: raw / Ωχ with the empty-neighborhood
@@ -83,35 +73,12 @@ object Matching {
       else raw / math.max(n1, n2)
   }
 
-  /** Ωχ itself (for the Eq. 6 upper bound); 0 encodes "empty convention". */
-  def omega(variant: Variant, n1: Int, n2: Int): Double = variant match {
-    case Variant.S | Variant.DP => n1.toDouble
-    case Variant.B              => (n1 + n2).toDouble
-    case Variant.BJ             => math.sqrt(n1.toDouble * n2.toDouble)
-    case Variant.SimRankCfg     => n1.toDouble * n2.toDouble
-    case Variant.RoleSimCfg     => math.max(n1, n2).toDouble
-  }
-
-  /** Whether the variant is converse-invariant (Figure 3a) — those must be
-    * symmetric by property P3.
-    */
-  def converseInvariant(variant: Variant): Boolean =
-    variant == Variant.B || variant == Variant.BJ
-
-  private def sumRowMax(pairs: Seq[Cand]): Double = {
-    val best = collection.mutable.HashMap.empty[Long, Double]
+  /** Σ over the distinct keys (x for rows, y for columns) of the largest w. */
+  private def sumMax(pairs: collection.Seq[Cand], key: Cand => Int): Double = {
+    val best = collection.mutable.HashMap.empty[Int, Double]
     pairs.foreach { c =>
-      val cur = best.getOrElse(c.x, -1.0)
-      if (c.w > cur) best(c.x) = c.w
-    }
-    best.valuesIterator.sum
-  }
-
-  private def sumColMax(pairs: Seq[Cand]): Double = {
-    val best = collection.mutable.HashMap.empty[Long, Double]
-    pairs.foreach { c =>
-      val cur = best.getOrElse(c.y, -1.0)
-      if (c.w > cur) best(c.y) = c.w
+      val cur = best.getOrElse(key(c), -1.0)
+      if (c.w > cur) best(key(c)) = c.w
     }
     best.valuesIterator.sum
   }
@@ -120,14 +87,14 @@ object Matching {
     * weight desc (ties by (x, y) asc) and take pairs whose endpoints are both
     * free. Determinism matters — local and Spark engines must agree.
     */
-  private def sortedPairs(pairs: Seq[Cand]): Array[Cand] = {
+  private def sortedPairs(pairs: collection.Seq[Cand]): Array[Cand] = {
     val arr = pairs.toArray
     java.util.Arrays.sort(arr, (a: Cand, b: Cand) => {
       val byW = java.lang.Double.compare(b.w, a.w)
       if (byW != 0) byW
       else {
-        val byX = java.lang.Long.compare(a.x, b.x)
-        if (byX != 0) byX else java.lang.Long.compare(a.y, b.y)
+        val byX = Integer.compare(a.x, b.x)
+        if (byX != 0) byX else Integer.compare(a.y, b.y)
       }
     })
     arr
@@ -141,9 +108,9 @@ object Matching {
     * simulation definiteness (P2) for dp/bj — the refinement restores P2
     * while keeping the paper's greedy efficiency for fractional weights.
     */
-  private def greedyMatchSum(pairs: Seq[Cand]): Double = {
-    val usedX = collection.mutable.HashSet.empty[Long]
-    val usedY = collection.mutable.HashSet.empty[Long]
+  private def greedyMatchSum(pairs: collection.Seq[Cand]): Double = {
+    val usedX = collection.mutable.HashSet.empty[Int]
+    val usedY = collection.mutable.HashSet.empty[Int]
     var sum = 0.0
     sum += matchOnes(pairs, usedX, usedY)
     for (c <- sortedPairs(pairs)) {
@@ -154,55 +121,29 @@ object Matching {
     sum
   }
 
-  private def greedyMatchCount(pairs: Seq[Cand]): Int = {
-    val usedX = collection.mutable.HashSet.empty[Long]
-    val usedY = collection.mutable.HashSet.empty[Long]
-    var k = math.round(matchOnes(pairs, usedX, usedY)).toInt
-    for (c <- sortedPairs(pairs)) {
-      if (!usedX.contains(c.x) && !usedY.contains(c.y)) {
-        usedX += c.x; usedY += c.y; k += 1
-      }
-    }
-    k
-  }
-
   private final val OneEps = 1e-9
 
   /** Exact maximum matching restricted to weight-(~1) pairs; marks the used
     * endpoints and returns the number matched (== weight sum, each w ≈ 1,
     * counted as exactly 1.0 to keep simulation definiteness float-exact).
     */
-  private def matchOnes(pairs: Seq[Cand],
-                        usedX: collection.mutable.HashSet[Long],
-                        usedY: collection.mutable.HashSet[Long]): Double = {
+  private def matchOnes(pairs: collection.Seq[Cand],
+                        usedX: collection.mutable.HashSet[Int],
+                        usedY: collection.mutable.HashSet[Int]): Double = {
     val ones = pairs.filter(_.w >= 1.0 - OneEps)
     if (ones.isEmpty) return 0.0
     val xs = ones.map(_.x).distinct.sorted.toArray
     val ys = ones.map(_.y).distinct.sorted.toArray
     val yIdx = ys.zipWithIndex.toMap
     val adj: Array[Array[Int]] = {
-      val m = collection.mutable.HashMap.empty[Long, collection.mutable.ArrayBuffer[Int]]
+      val m = collection.mutable.HashMap.empty[Int, collection.mutable.ArrayBuffer[Int]]
       ones.foreach(c => m.getOrElseUpdate(c.x, collection.mutable.ArrayBuffer()) += yIdx(c.y))
       xs.map(x => m(x).toArray.sorted)
     }
-    val matchOf = Array.fill(ys.length)(-1)
-    val visited = new Array[Boolean](ys.length)
-    def tryKuhn(i: Int): Boolean = {
-      for (j <- adj(i)) {
-        if (!visited(j)) {
-          visited(j) = true
-          if (matchOf(j) < 0 || tryKuhn(matchOf(j))) { matchOf(j) = i; return true }
-        }
-      }
-      false
-    }
+    val matchOf = Bipartite.matching(adj, ys.length)
     var count = 0
-    for (i <- xs.indices) {
-      java.util.Arrays.fill(visited, false)
-      if (tryKuhn(i)) count += 1
-    }
     for (j <- matchOf.indices if matchOf(j) >= 0) {
-      usedX += xs(matchOf(j)); usedY += ys(j)
+      usedX += xs(matchOf(j)); usedY += ys(j); count += 1
     }
     count.toDouble
   }

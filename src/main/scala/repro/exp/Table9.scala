@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 import repro.align._
 import repro.core._
 import repro.graph.{GraphFrames, LocalGraph, RdfVersions}
@@ -30,22 +29,15 @@ object Table9 {
 
   final case class Row(pair: String, aligner: String, f1: Double)
 
-  /** k-bisimulation aligner backed by the distributed signature refinement. */
-  final class SparkKBisimAligner(spark: SparkSession, k: Int) extends Aligner {
-    val name = s"$k-bisim"
-    def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
-      val union = g1.disjointUnion(g2)
-      val sigs = KBisimulation.signaturesSpark(spark,
-          GraphFrames.nodesDF(spark, union), GraphFrames.edgesDF(spark, union), k)
-        .collect().map(r => r.getLong(0).toInt -> r.getLong(1)).toMap
-      val byClass2 = (0 until g2.n).groupBy(v => sigs(g1.n + v))
-      (0 until g1.n).map(u => u -> byClass2.getOrElse(sigs(u), Seq.empty).toSeq).toMap
-    }
-  }
+  /** k-bisimulation classes from the distributed signature refinement. */
+  private def sparkSignatures(spark: SparkSession)(g: LocalGraph, k: Int): Int => Long =
+    KBisimulation.signaturesSpark(spark,
+        GraphFrames.nodesDF(spark, g), GraphFrames.edgesDF(spark, g), k)
+      .collect().map(r => r.getLong(0).toInt -> r.getLong(1)).toMap
 
   def aligners(spark: SparkSession): Seq[Aligner] = Seq(
-    new SparkKBisimAligner(spark, 2),
-    new SparkKBisimAligner(spark, 4),
+    new KBisimAligner(2, sparkSignatures(spark)),
+    new KBisimAligner(4, sparkSignatures(spark)),
     new OlapAligner,
     new GsanaAligner,
     new FinalAligner,

@@ -177,12 +177,16 @@ final class LocalGraph(
 
 object LocalGraph {
 
-  /** Build from a label array and an edge list (duplicates/self-loops kept as
-    * given, but deduplicated — the paper's graphs are simple digraphs).
+  /** Build from a label array and an edge list. Duplicate edges are dropped
+    * (the paper's graphs are simple digraphs); self-loops are kept. Throws
+    * IllegalArgumentException if an endpoint is not a node id 0..n-1.
     */
   def fromEdges(labels: Array[String], edges: Seq[(Int, Int)]): LocalGraph = {
     val n = labels.length
-    val dedup = edges.distinct.filter { case (u, v) => u >= 0 && u < n && v >= 0 && v < n }
+    for ((u, v) <- edges)
+      require(u >= 0 && u < n && v >= 0 && v < n,
+        s"edge ($u, $v) has an endpoint outside the node ids 0..${n - 1}")
+    val dedup = edges.distinct
     val out = Array.fill(n)(mutable.ArrayBuffer[Int]())
     val in  = Array.fill(n)(mutable.ArrayBuffer[Int]())
     for ((u, v) <- dedup) { out(u) += v; in(v) += u }

@@ -149,18 +149,32 @@ class FSimLocalSpec extends AnyFunSuite {
   }
 
   test("upper bound dominates the true score (Eq. 6)") {
-    val g1 = TestGraphs.uniform(10, 20, 2, 15)
-    val g2 = TestGraphs.uniform(10, 20, 2, 16)
-    val c = cfg(Variant.DP)
-    val base = FSimLocal.compute(g1, g2, c)
-    val sigma1 = g1.labels.distinct; val sigma2 = g2.labels.distinct
-    val id1 = sigma1.zipWithIndex.toMap; val id2 = sigma2.zipWithIndex.toMap
-    val l1 = g1.labels.map(id1); val l2 = g2.labels.map(id2)
-    val lsim = Array.tabulate(sigma1.length, sigma2.length)((a, b) =>
-      c.labelSim(sigma1(a), sigma2(b)))
-    for ((u, v, s) <- base.pairs) {
-      val bound = FSimLocal.upperBound(g1, g2, c, u, v, l1, l2, lsim)
-      assert(s <= bound + 1e-9, s"($u,$v): $s > $bound")
+    for (seed <- Seq(15, 17, 19); variant <- Variant.paper) {
+      val g1 = TestGraphs.uniform(10, 20, 2, seed)
+      val g2 = TestGraphs.uniform(10, 20, 2, seed + 1)
+      val c = cfg(variant)
+      val plan = new FSimPlan(g1, g2, c)
+      for ((u, v, s) <- FSimLocal.compute(g1, g2, c).pairs) {
+        val bound = plan.upperBound(u, v)
+        assert(s <= bound + 1e-9, s"χ=${variant.name} seed $seed ($u,$v): $s > $bound")
+      }
+    }
+  }
+
+  test("ub pruning keeps |H|, iterations and Σscore fixed (golden, UbConfig(0, 0.5))") {
+    val g1 = TestGraphs.uniform(12, 24, 3, 13)
+    val g2 = TestGraphs.uniform(12, 24, 3, 14)
+    // (|H|, iterations, Σscore); unpruned |H| is 144, so every variant prunes
+    val golden = Map(
+      Variant.S -> (120, 53, 71.30732411426867),
+      Variant.DP -> (115, 43, 53.358421229987535),
+      Variant.B -> (100, 51, 39.91137377576072),
+      Variant.BJ -> (90, 36, 22.953870861923946))
+    for ((variant, (h, iters, sum)) <- golden) {
+      val res = FSimLocal.compute(g1, g2,
+        cfg(variant).copy(ub = Some(UbConfig(alpha = 0.0, beta = 0.5))))
+      assert((res.numPairs, res.iterations) === ((h, iters)), variant.name)
+      assert(res.pairs.map(_._3).sum === sum, variant.name)
     }
   }
 

@@ -49,22 +49,4 @@ class KBisimulationSpec extends SparkSpec {
         assert((sigs(u) == sigs(v)) === (cls(u) == cls(v)), s"($u,$v)")
     }
   }
-
-  test("full bisimulation classes are a fixpoint") {
-    val g = TestGraphs.uniform(14, 30, 2, 91)
-    val cls = KBisimulation.fullClasses(g)
-    // one more refinement round must not split any class
-    for (u <- 0 until g.n; v <- 0 until g.n if cls(u) == cls(v)) {
-      assert(g.outAdj(u).map(cls).toSet === g.outAdj(v).map(cls).toSet, s"out ($u,$v)")
-      assert(g.inAdj(u).map(cls).toSet === g.inAdj(v).map(cls).toSet, s"in ($u,$v)")
-    }
-  }
-
-  test("out-only full classes (Olap substrate) are coarser or equal") {
-    val g = TestGraphs.uniform(14, 30, 2, 92)
-    val full = KBisimulation.fullClasses(g, useIn = true)
-    val outOnly = KBisimulation.fullClasses(g, useIn = false)
-    for (u <- 0 until g.n; v <- 0 until g.n if full(u) == full(v))
-      assert(outOnly(u) === outOnly(v), s"($u,$v)")
-  }
 }

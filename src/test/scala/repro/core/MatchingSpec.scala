@@ -9,6 +9,8 @@ class MatchingSpec extends AnyFunSuite {
   private def cands(ws: (Int, Int, Double)*): Seq[Cand] =
     ws.map { case (x, y, w) => Cand(x, y, w) }
 
+  private def unit(ps: Seq[Cand]): Seq[Cand] = ps.map(_.copy(w = 1.0))
+
   test("s: sum of per-row maxima") {
     val ps = cands((0, 0, 0.5), (0, 1, 0.8), (1, 0, 0.3))
     assert(Matching.mapRaw(Variant.S, ps) === 0.8 + 0.3)
@@ -31,7 +33,7 @@ class MatchingSpec extends AnyFunSuite {
     // plain greedy would pick (0,0) then strand node 1 at weight 0
     val ps = cands((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0))
     assert(Matching.mapRaw(Variant.DP, ps) === 2.0)
-    assert(Matching.mapSize(Variant.DP, ps) === 2)
+    assert(Matching.mapRaw(Variant.DP, unit(ps)) === 2.0)
   }
 
   test("simrank config sums everything") {
@@ -40,11 +42,12 @@ class MatchingSpec extends AnyFunSuite {
   }
 
   test("mapSize per variant") {
-    val ps = cands((0, 0, 0.5), (0, 1, 0.8), (1, 0, 0.3))
-    assert(Matching.mapSize(Variant.S, ps) === 2)  // rows 0 and 1
-    assert(Matching.mapSize(Variant.B, ps) === 4)  // rows 2 + cols 2
-    assert(Matching.mapSize(Variant.DP, ps) === 2) // matching (0,1),(1,0)
-    assert(Matching.mapSize(Variant.SimRankCfg, ps) === 3)
+    // the map size |Mχ| (the Eq.-6 numerator) is mapRaw at unit weights
+    val ps = unit(cands((0, 0, 0.5), (0, 1, 0.8), (1, 0, 0.3)))
+    assert(Matching.mapRaw(Variant.S, ps) === 2.0)  // rows 0 and 1
+    assert(Matching.mapRaw(Variant.B, ps) === 4.0)  // rows 2 + cols 2
+    assert(Matching.mapRaw(Variant.DP, ps) === 2.0) // matching (0,1),(1,0)
+    assert(Matching.mapRaw(Variant.SimRankCfg, ps) === 3.0)
   }
 
   test("term: empty-neighborhood conventions (DESIGN.md §5)") {
@@ -68,20 +71,6 @@ class MatchingSpec extends AnyFunSuite {
     assert(Matching.term(Variant.RoleSimCfg, 4.5, 4, 9) === 0.5)
   }
 
-  test("omega matches Table 3") {
-    assert(Matching.omega(Variant.S, 4, 9) === 4.0)
-    assert(Matching.omega(Variant.DP, 4, 9) === 4.0)
-    assert(Matching.omega(Variant.B, 4, 9) === 13.0)
-    assert(Matching.omega(Variant.BJ, 4, 9) === 6.0)
-  }
-
-  test("converse invariance flags match Figure 3(a)") {
-    assert(!Matching.converseInvariant(Variant.S))
-    assert(!Matching.converseInvariant(Variant.DP))
-    assert(Matching.converseInvariant(Variant.B))
-    assert(Matching.converseInvariant(Variant.BJ))
-  }
-
   for (seed <- 1 to 20) {
     test(s"randomized properties, seed $seed") {
       val rnd = new Random(seed)
@@ -90,7 +79,7 @@ class MatchingSpec extends AnyFunSuite {
         yield Cand(x, y, rnd.nextInt(11) / 10.0)
       for (v <- Variant.paper) {
         val raw = Matching.mapRaw(v, ps)
-        val size = Matching.mapSize(v, ps)
+        val size = Matching.mapRaw(v, unit(ps))
         assert(raw >= 0.0)
         assert(raw <= size + 1e-9, s"$v raw=$raw size=$size") // each score <= 1
         // raw/omega is a valid fraction given |M| <= omega (condition C2)

@@ -17,6 +17,11 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.outDeg(1) === 1 && g.inDeg(1) === 1)
   }
 
+  test("fromEdges rejects edges with an endpoint outside 0..n-1") {
+    for (e <- Seq((0, 4), (4, 0), (-1, 2), (2, -1)))
+      intercept[IllegalArgumentException](LocalGraph.fromEdges(Array("a", "b", "c", "a"), Seq((0, 1), e)))
+  }
+
   test("degree and label statistics") {
     assert(g.n === 4)
     assert(g.labelSet === Set("a", "b", "c"))
