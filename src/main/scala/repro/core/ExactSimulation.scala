@@ -76,19 +76,18 @@ object ExactSimulation {
   */
 object Bipartite {
 
-  /** Maximum matching of rows 0 until adj.length to columns 0 until m, where
-    * adj(i) lists row i's columns in ascending order; each row tries its
-    * columns in that order. Returns, per column, its matched row or -1.
+  /** Maximum matching of rows 0 until rows to columns 0 until m. Row i's
+    * columns are col(off(i) until off(i + 1)), in ascending order; each row
+    * tries its columns in that order. Fills matchOf(0 until m) with each
+    * column's matched row or -1, using visited(0 until m) as scratch, and
+    * returns the matching size.
     */
-  def matching(adj: Array[Array[Int]], m: Int): Array[Int] = {
-    val matchOf = Array.fill(m)(-1)
-    val visited = new Array[Boolean](m)
-
+  def matching(rows: Int, off: Array[Int], col: Array[Int], m: Int,
+               matchOf: Array[Int], visited: Array[Boolean]): Int = {
     def tryKuhn(i: Int): Boolean = {
-      val cols = adj(i)
-      var k = 0
-      while (k < cols.length) {
-        val j = cols(k)
+      var k = off(i)
+      while (k < off(i + 1)) {
+        val j = col(k)
         if (!visited(j)) {
           visited(j) = true
           if (matchOf(j) < 0 || tryKuhn(matchOf(j))) { matchOf(j) = i; return true }
@@ -98,13 +97,17 @@ object Bipartite {
       false
     }
 
+    java.util.Arrays.fill(matchOf, 0, m, -1)
+    var size = 0
     var i = 0
-    while (i < adj.length) {
-      java.util.Arrays.fill(visited, false)
-      tryKuhn(i)
+    while (i < rows) {
+      if (off(i) < off(i + 1)) {
+        java.util.Arrays.fill(visited, 0, m, false)
+        if (tryKuhn(i)) size += 1
+      }
       i += 1
     }
-    matchOf
+    size
   }
 
   /** Size of the maximum matching between s1 and s2 where (s1(i), s2(j)) is
@@ -112,6 +115,7 @@ object Bipartite {
     */
   def maxMatching(s1: Array[Int], s2: Array[Int], allowed: (Int, Int) => Boolean): Int = {
     val adj = s1.map(x => s2.indices.filter(j => allowed(x, s2(j))).toArray)
-    matching(adj, s2.length).count(_ >= 0)
+    val off = adj.scanLeft(0)(_ + _.length)
+    matching(s1.length, off, adj.flatten, s2.length, new Array[Int](s2.length), new Array[Boolean](s2.length))
   }
 }

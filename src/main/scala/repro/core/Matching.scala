@@ -24,34 +24,79 @@ object Variant {
 
 /** Mapping operators Mχ and normalizers Ωχ (Eq. 2 / Table 3 of the paper).
   *
-  * Called from [[FSimPlan]]'s side function, which both engines run: with
-  * the previous scores as weights it is the Eq.-3 update, with unit weights
-  * it is the Eq.-6 upper bound. Tie-breaking is deterministic, so scores do
-  * not depend on how the pairs are distributed.
+  * [[mapRaw]] is the one Mχ kernel. [[FSimPlan]] runs it over its compiled
+  * neighbour cells: with the previous scores as weights it is the Eq.-3
+  * update, with unit weights it is the Eq.-6 upper bound. It works on
+  * primitive arrays and a caller-owned [[Scratch]], so it allocates nothing
+  * once the scratch has grown to the largest block. Tie-breaking is
+  * deterministic, so scores do not depend on how the pairs are distributed.
   */
 object Matching {
 
-  /** A candidate neighbor pair (x ∈ S1, y ∈ S2) with the previous-iteration
-    * score w = FSim^{k-1}(x, y). Only L(x,y) ≥ θ pairs may be passed in —
-    * eligibility is the caller's job (Remark 2, label-constrained mapping).
-    */
-  final case class Cand(x: Int, y: Int, w: Double)
+  /** Reusable buffers of the kernel, grown on demand. One per thread. */
+  final class Scratch {
+    private var w = new Array[Double](16)
+    private[Matching] var order, tmp, onesCol = new Array[Int](16)
+    private[Matching] var best = new Array[Double](16)
+    private[Matching] var usedA = new Array[Boolean](16)
+    private[Matching] var onesOff = new Array[Int](17)
+    private[Matching] var usedB, visited = new Array[Boolean](16)
+    private[Matching] var matchOf = new Array[Int](16)
+
+    /** The weight buffer, holding at least `cells` entries. Its contents
+      * are undefined until the caller fills them.
+      */
+    def weights(cells: Int): Array[Double] = {
+      if (w.length < cells) w = new Array[Double](grow(w.length, cells))
+      w
+    }
+
+    private[Matching] def ensure(cells: Int, n1: Int, n2: Int): Unit = {
+      if (order.length < cells) {
+        val c = grow(order.length, cells)
+        order = new Array[Int](c); tmp = new Array[Int](c); onesCol = new Array[Int](c)
+      }
+      if (best.length < math.max(n1, n2)) best = new Array[Double](grow(best.length, math.max(n1, n2)))
+      if (usedA.length < n1) {
+        val c = grow(usedA.length, n1)
+        usedA = new Array[Boolean](c); onesOff = new Array[Int](c + 1)
+      }
+      if (usedB.length < n2) {
+        val c = grow(usedB.length, n2)
+        usedB = new Array[Boolean](c); visited = new Array[Boolean](c); matchOf = new Array[Int](c)
+      }
+    }
+
+    private def grow(have: Int, need: Int): Int = math.max(need, have * 2)
+  }
 
   /** Raw value Σ w over the maximum mapping Mχ(S1, S2) — the numerator of
     * Eq. 2 before dividing by Ωχ. At unit weights it is |Mχ|, the numerator
     * of the Eq.-6 upper bound.
     *
-    * dp/bj use the greedy approximation of maximum weighted matching the
-    * paper adopts from [23]; s/b take per-node maxima; the SimRank
-    * configuration sums everything.
+    * The block has rows 0 until n1 (S1) and columns 0 until n2 (S2). Its
+    * `len` cells are (a(from + k), b(from + k)) with weight w(k), listed in
+    * ascending (a, b) order; only L ≥ θ pairs may be passed in, eligibility
+    * is the caller's job (Remark 2, label-constrained mapping).
+    *
+    * s/b sum per-row (and per-column) maxima in ascending index order. dp/bj
+    * and RoleSim use the greedy approximation of maximum weighted matching
+    * the paper adopts from [23], after an exact pass over the weight-1
+    * cells. The SimRank configuration sums every weight in cell order.
     */
-  def mapRaw(variant: Variant, pairs: collection.Seq[Cand]): Double = variant match {
-    case Variant.S          => sumMax(pairs, _.x)
-    case Variant.B          => sumMax(pairs, _.x) + sumMax(pairs, _.y)
-    case Variant.DP         => greedyMatchSum(pairs)
-    case Variant.BJ         => greedyMatchSum(pairs)
-    case Variant.RoleSimCfg => greedyMatchSum(pairs)
-    case Variant.SimRankCfg => pairs.iterator.map(_.w).sum
+  def mapRaw(variant: Variant, a: Array[Int], b: Array[Int], from: Int, len: Int,
+             w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
+    s.ensure(len, n1, n2)
+    variant match {
+      case Variant.S  => sumMax(a, from, len, w, n1, s.best)
+      case Variant.B  => sumMax(a, from, len, w, n1, s.best) + sumMax(b, from, len, w, n2, s.best)
+      case Variant.DP | Variant.BJ | Variant.RoleSimCfg => greedyMatchSum(a, b, from, len, w, n1, n2, s)
+      case Variant.SimRankCfg =>
+        var sum = 0.0
+        var k = 0
+        while (k < len) { sum += w(k); k += 1 }
+        sum
+    }
   }
 
   /** Final per-side term of Eq. 3: raw / Ωχ with the empty-neighborhood
@@ -73,78 +118,111 @@ object Matching {
       else raw / math.max(n1, n2)
   }
 
-  /** Σ over the distinct keys (x for rows, y for columns) of the largest w. */
-  private def sumMax(pairs: collection.Seq[Cand], key: Cand => Int): Double = {
-    val best = collection.mutable.HashMap.empty[Int, Double]
-    pairs.foreach { c =>
-      val cur = best.getOrElse(key(c), -1.0)
-      if (c.w > cur) best(key(c)) = c.w
+  /** Σ over the keys 0 until n that own a cell of the largest w among them. */
+  private def sumMax(key: Array[Int], from: Int, len: Int, w: Array[Double], n: Int,
+                     best: Array[Double]): Double = {
+    java.util.Arrays.fill(best, 0, n, -1.0)
+    var k = 0
+    while (k < len) {
+      val i = key(from + k)
+      if (w(k) > best(i)) best(i) = w(k)
+      k += 1
     }
-    best.valuesIterator.sum
-  }
-
-  /** Deterministic greedy maximum-weight matching ([23]'s heuristic): sort by
-    * weight desc (ties by (x, y) asc) and take pairs whose endpoints are both
-    * free. Determinism matters — local and Spark engines must agree.
-    */
-  private def sortedPairs(pairs: collection.Seq[Cand]): Array[Cand] = {
-    val arr = pairs.toArray
-    java.util.Arrays.sort(arr, (a: Cand, b: Cand) => {
-      val byW = java.lang.Double.compare(b.w, a.w)
-      if (byW != 0) byW
-      else {
-        val byX = Integer.compare(a.x, b.x)
-        if (byX != 0) byX else Integer.compare(a.y, b.y)
-      }
-    })
-    arr
-  }
-
-  /** Greedy weighted matching with an exactness refinement on weight-1
-    * pairs: pairs at the maximum possible weight 1 are matched *exactly*
-    * (Kuhn's augmenting paths, maximizing their count) before the greedy
-    * sweep handles the rest. Plain greedy can tie-break a weight-1 pair into
-    * a position that blocks a perfect weight-1 matching, which would violate
-    * simulation definiteness (P2) for dp/bj — the refinement restores P2
-    * while keeping the paper's greedy efficiency for fractional weights.
-    */
-  private def greedyMatchSum(pairs: collection.Seq[Cand]): Double = {
-    val usedX = collection.mutable.HashSet.empty[Int]
-    val usedY = collection.mutable.HashSet.empty[Int]
     var sum = 0.0
-    sum += matchOnes(pairs, usedX, usedY)
-    for (c <- sortedPairs(pairs)) {
-      if (!usedX.contains(c.x) && !usedY.contains(c.y)) {
-        usedX += c.x; usedY += c.y; sum += c.w
-      }
+    var i = 0
+    while (i < n) {
+      if (best(i) > -1.0) sum += best(i)
+      i += 1
     }
     sum
   }
 
   private final val OneEps = 1e-9
 
-  /** Exact maximum matching restricted to weight-(~1) pairs; marks the used
-    * endpoints and returns the number matched (== weight sum, each w ≈ 1,
-    * counted as exactly 1.0 to keep simulation definiteness float-exact).
+  /** Greedy weighted matching with an exactness refinement on weight-1
+    * cells: cells at the maximum possible weight 1 are matched *exactly*
+    * (Kuhn's augmenting paths, maximizing their count, each counted as
+    * exactly 1.0) before the greedy sweep handles the rest. Plain greedy can
+    * tie-break a weight-1 cell into a position that blocks a perfect
+    * weight-1 matching, which would violate simulation definiteness (P2)
+    * for dp/bj. The sweep takes cells by weight desc, ties in (a, b) order,
+    * whose endpoints are both free. Determinism matters — local and Spark
+    * engines must agree.
     */
-  private def matchOnes(pairs: collection.Seq[Cand],
-                        usedX: collection.mutable.HashSet[Int],
-                        usedY: collection.mutable.HashSet[Int]): Double = {
-    val ones = pairs.filter(_.w >= 1.0 - OneEps)
-    if (ones.isEmpty) return 0.0
-    val xs = ones.map(_.x).distinct.sorted.toArray
-    val ys = ones.map(_.y).distinct.sorted.toArray
-    val yIdx = ys.zipWithIndex.toMap
-    val adj: Array[Array[Int]] = {
-      val m = collection.mutable.HashMap.empty[Int, collection.mutable.ArrayBuffer[Int]]
-      ones.foreach(c => m.getOrElseUpdate(c.x, collection.mutable.ArrayBuffer()) += yIdx(c.y))
-      xs.map(x => m(x).toArray.sorted)
+  private def greedyMatchSum(a: Array[Int], b: Array[Int], from: Int, len: Int,
+                             w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
+    val usedA = s.usedA; val usedB = s.usedB
+    java.util.Arrays.fill(usedA, 0, n1, false)
+    java.util.Arrays.fill(usedB, 0, n2, false)
+
+    // weight-1 cells as CSR rows, in (a, b) order
+    val off = s.onesOff; val col = s.onesCol
+    java.util.Arrays.fill(off, 0, n1 + 1, 0)
+    var ones = 0
+    var k = 0
+    while (k < len) {
+      if (w(k) >= 1.0 - OneEps) { off(a(from + k) + 1) += 1; col(ones) = b(from + k); ones += 1 }
+      k += 1
     }
-    val matchOf = Bipartite.matching(adj, ys.length)
     var count = 0
-    for (j <- matchOf.indices if matchOf(j) >= 0) {
-      usedX += xs(matchOf(j)); usedY += ys(j); count += 1
+    if (ones > 0) {
+      var i = 0
+      while (i < n1) { off(i + 1) += off(i); i += 1 }
+      count = Bipartite.matching(n1, off, col, n2, s.matchOf, s.visited)
+      var j = 0
+      while (j < n2) {
+        val i = s.matchOf(j)
+        if (i >= 0) { usedA(i) = true; usedB(j) = true }
+        j += 1
+      }
     }
-    count.toDouble
+
+    val order = s.order
+    k = 0
+    while (k < len) { order(k) = k; k += 1 }
+    sortByWeightDesc(order, s.tmp, len, w)
+    var sum = count.toDouble
+    k = 0
+    while (k < len) {
+      val c = order(k)
+      val x = a(from + c); val y = b(from + c)
+      if (!usedA(x) && !usedB(y)) { usedA(x) = true; usedB(y) = true; sum += w(c) }
+      k += 1
+    }
+    sum
   }
+
+  /** Stable sort of order(0 until len) by w desc: insertion sort for short
+    * blocks, bottom-up merge sort through `tmp` above that.
+    */
+  private def sortByWeightDesc(order: Array[Int], tmp: Array[Int], len: Int, w: Array[Double]): Unit =
+    if (len <= 32) {
+      var i = 1
+      while (i < len) {
+        val c = order(i)
+        var j = i - 1
+        while (j >= 0 && w(order(j)) < w(c)) { order(j + 1) = order(j); j -= 1 }
+        order(j + 1) = c
+        i += 1
+      }
+    } else {
+      var src = order; var dst = tmp
+      var width = 1
+      while (width < len) {
+        var lo = 0
+        while (lo < len) {
+          val mid = math.min(lo + width, len); val hi = math.min(lo + 2 * width, len)
+          var i = lo; var j = mid; var k = lo
+          while (k < hi) {
+            if (j >= hi || (i < mid && w(src(i)) >= w(src(j)))) { dst(k) = src(i); i += 1 }
+            else { dst(k) = src(j); j += 1 }
+            k += 1
+          }
+          lo = hi
+        }
+        val t = src; src = dst; dst = t
+        width *= 2
+      }
+      if (src ne order) System.arraycopy(src, 0, order, 0, len)
+    }
 }

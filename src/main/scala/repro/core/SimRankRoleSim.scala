@@ -58,14 +58,22 @@ object SimRankRoleSim {
     var prev = Array.tabulate(n, n) { (u, v) =>
       if (math.max(d(u), d(v)) == 0) 1.0 else math.min(d(u), d(v)).toDouble / math.max(d(u), d(v))
     }
+    // the full d(u) × d(v) block of cells, in (a, b) order
+    val maxD = adj.map(_.length).maxOption.getOrElse(0)
+    val (ca, cb) = (new Array[Int](maxD * maxD), new Array[Int](maxD * maxD))
+    val scratch = new Matching.Scratch
     for (_ <- 1 to iters) {
       val next = Array.tabulate(n, n) { (u, v) =>
         if (d(u) == 0 && d(v) == 0) (1 - beta) * 1.0 + beta
         else if (d(u) == 0 || d(v) == 0) beta
         else {
-          val cands = for (x <- adj(u).toSeq; y <- adj(v).toSeq)
-            yield Matching.Cand(x, y, prev(x)(y))
-          (1 - beta) * Matching.mapRaw(Variant.RoleSimCfg, cands) / math.max(d(u), d(v)) + beta
+          val w = scratch.weights(d(u) * d(v))
+          var k = 0
+          for (a <- 0 until d(u); b <- 0 until d(v)) {
+            ca(k) = a; cb(k) = b; w(k) = prev(adj(u)(a))(adj(v)(b)); k += 1
+          }
+          val raw = Matching.mapRaw(Variant.RoleSimCfg, ca, cb, 0, k, w, d(u), d(v), scratch)
+          (1 - beta) * raw / math.max(d(u), d(v)) + beta
         }
       }
       prev = next

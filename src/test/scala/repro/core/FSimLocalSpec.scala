@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.LocalGraph
+import repro.graph.{DbisGen, LocalGraph}
 
 /** Executable versions of the paper's Definition 4 (P1–P3), Theorem 1 /
   * Corollary 1, and the §3.4 optimizations, on the local reference engine.
@@ -184,5 +184,38 @@ class FSimLocalSpec extends AnyFunSuite {
     val res = FSimLocal.compute(g1, g2, cfg(Variant.S).copy(theta = 1.0))
     assert(res.numPairs === 0)
     assert(res.score(0, 0) === 0.0)
+  }
+
+  test("scores do not depend on the thread count (bj, with and without UbConfig(0, 0.5))") {
+    val g = DbisGen.generate(6, 3, 11L).graph
+    def bits(res: FSimResult) = res.pairs.map(p => java.lang.Double.doubleToLongBits(p._3)).toArray
+    for (ub <- Seq(None, Some(UbConfig(alpha = 0.0, beta = 0.5)))) {
+      val c = cfg(Variant.BJ).copy(theta = 1.0, ub = ub)
+      val pool = new java.util.concurrent.ForkJoinPool(1)
+      val oneThread =
+        try pool.submit(new java.util.concurrent.Callable[FSimResult] {
+          def call(): FSimResult = FSimLocal.compute(g, g, c)
+        }).get()
+        finally pool.shutdown()
+      val common = FSimLocal.compute(g, g, c)
+      assert(oneThread.numPairs === common.numPairs, s"ub=$ub")
+      assert(bits(oneThread) sameElements bits(common), s"ub=$ub")
+    }
+  }
+
+  test("a plan round-tripped through Java serialization scores the same") {
+    // the Spark engine broadcasts the plan; its per-thread scratch is transient
+    val g = DbisGen.generate(6, 3, 11L).graph
+    val c = cfg(Variant.BJ).copy(theta = 1.0, ub = Some(UbConfig(alpha = 0.2, beta = 0.5)))
+    val plan = new FSimPlan(g, g, c)
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(plan); out.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[FSimPlan]
+    def run(p: FSimPlan) = p.converge((prev, next) => next.indices.foreach(i => next(i) = p.score(prev, i)))
+    val (a, b) = (run(plan), run(copy))
+    assert(a.numPairs === b.numPairs)
+    assert(a.pairs.map(_._3).toSeq === b.pairs.map(_._3).toSeq)
   }
 }

@@ -1,10 +1,16 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import Matching.Cand
+import MatchingOracle.Cand
 
 class MatchingSpec extends AnyFunSuite {
+
+  /** The kernel, [[Matching.mapRaw]], on the cells of `ps`. */
+  private def raw(v: Variant, ps: Seq[Cand]): Double = MatchingOracle.kernel(v, ps)
 
   private def cands(ws: (Int, Int, Double)*): Seq[Cand] =
     ws.map { case (x, y, w) => Cand(x, y, w) }
@@ -13,41 +19,41 @@ class MatchingSpec extends AnyFunSuite {
 
   test("s: sum of per-row maxima") {
     val ps = cands((0, 0, 0.5), (0, 1, 0.8), (1, 0, 0.3))
-    assert(Matching.mapRaw(Variant.S, ps) === 0.8 + 0.3)
+    assert(raw(Variant.S, ps) === 0.8 + 0.3)
   }
 
   test("b: row maxima plus column maxima") {
     val ps = cands((0, 0, 0.5), (0, 1, 0.8), (1, 0, 0.3))
     // rows: max(0.5,0.8)+0.3 = 1.1 ; cols: max(0.5,0.3)+0.8 = 1.3
-    assert(math.abs(Matching.mapRaw(Variant.B, ps) - 2.4) < 1e-12)
+    assert(math.abs(raw(Variant.B, ps) - 2.4) < 1e-12)
   }
 
   test("dp/bj greedy matching takes heaviest non-conflicting pairs") {
     val ps = cands((0, 0, 0.9), (0, 1, 0.8), (1, 0, 0.7), (1, 1, 0.1))
     // greedy: (0,0)=0.9 then (1,1)=0.1 -> 1.0 (true max is 0.8+0.7=1.5; heuristic)
-    assert(math.abs(Matching.mapRaw(Variant.DP, ps) - 1.0) < 1e-12)
-    assert(math.abs(Matching.mapRaw(Variant.BJ, ps) - 1.0) < 1e-12)
+    assert(math.abs(raw(Variant.DP, ps) - 1.0) < 1e-12)
+    assert(math.abs(raw(Variant.BJ, ps) - 1.0) < 1e-12)
   }
 
   test("weight-1 pairs are matched exactly, not greedily (P2 refinement)") {
     // plain greedy would pick (0,0) then strand node 1 at weight 0
     val ps = cands((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0))
-    assert(Matching.mapRaw(Variant.DP, ps) === 2.0)
-    assert(Matching.mapRaw(Variant.DP, unit(ps)) === 2.0)
+    assert(raw(Variant.DP, ps) === 2.0)
+    assert(raw(Variant.DP, unit(ps)) === 2.0)
   }
 
   test("simrank config sums everything") {
     val ps = cands((0, 0, 0.5), (0, 1, 0.25), (1, 1, 0.25))
-    assert(Matching.mapRaw(Variant.SimRankCfg, ps) === 1.0)
+    assert(raw(Variant.SimRankCfg, ps) === 1.0)
   }
 
   test("mapSize per variant") {
     // the map size |Mχ| (the Eq.-6 numerator) is mapRaw at unit weights
     val ps = unit(cands((0, 0, 0.5), (0, 1, 0.8), (1, 0, 0.3)))
-    assert(Matching.mapRaw(Variant.S, ps) === 2.0)  // rows 0 and 1
-    assert(Matching.mapRaw(Variant.B, ps) === 4.0)  // rows 2 + cols 2
-    assert(Matching.mapRaw(Variant.DP, ps) === 2.0) // matching (0,1),(1,0)
-    assert(Matching.mapRaw(Variant.SimRankCfg, ps) === 3.0)
+    assert(raw(Variant.S, ps) === 2.0)  // rows 0 and 1
+    assert(raw(Variant.B, ps) === 4.0)  // rows 2 + cols 2
+    assert(raw(Variant.DP, ps) === 2.0) // matching (0,1),(1,0)
+    assert(raw(Variant.SimRankCfg, ps) === 3.0)
   }
 
   test("term: empty-neighborhood conventions (DESIGN.md §5)") {
@@ -78,21 +84,63 @@ class MatchingSpec extends AnyFunSuite {
       val ps = for (x <- 0 until n1; y <- 0 until n2; if rnd.nextDouble() < 0.7)
         yield Cand(x, y, rnd.nextInt(11) / 10.0)
       for (v <- Variant.paper) {
-        val raw = Matching.mapRaw(v, ps)
-        val size = Matching.mapRaw(v, unit(ps))
-        assert(raw >= 0.0)
-        assert(raw <= size + 1e-9, s"$v raw=$raw size=$size") // each score <= 1
+        val r = raw(v, ps)
+        val size = raw(v, unit(ps))
+        assert(r >= 0.0)
+        assert(r <= size + 1e-9, s"$v raw=$r size=$size") // each score <= 1
         // raw/omega is a valid fraction given |M| <= omega (condition C2)
-        assert(Matching.term(v, raw, n1, n2) <= 1.0 + 1e-9, s"$v")
-        // determinism
-        assert(Matching.mapRaw(v, rnd.shuffle(ps)) === raw)
+        assert(Matching.term(v, r, n1, n2) <= 1.0 + 1e-9, s"$v")
+        // the reference kernel, fed the cells in any order, agrees
+        assert(math.abs(MatchingOracle.mapRaw(v, rnd.shuffle(ps)) - r) <= 1e-12)
       }
       // dp matching sum is at least the single best pair
       if (ps.nonEmpty) {
-        assert(Matching.mapRaw(Variant.DP, ps) >= ps.map(_.w).max - 1e-12)
+        assert(raw(Variant.DP, ps) >= ps.map(_.w).max - 1e-12)
         // and at most the s relaxation
-        assert(Matching.mapRaw(Variant.DP, ps) <= Matching.mapRaw(Variant.S, ps) + 1e-12)
+        assert(raw(Variant.DP, ps) <= raw(Variant.S, ps) + 1e-12)
       }
     }
+  }
+
+  // ---- the primitive kernel against the reference kernel ----
+
+  private val weightGen: Gen[Double] = Gen.frequency(
+    1 -> Gen.const(1.0),
+    1 -> Gen.const(1.0 - 1e-10), // counts as weight 1 in the exact pass
+    1 -> Gen.const(0.0),
+    6 -> Gen.choose(1, 4).map(_ / 5.0), // repeated weights, so ties happen
+    1 -> Gen.choose(0.0, 1.0))
+
+  /** Block sides of 0–40, mostly small, so that dense short blocks (where
+    * greedy tie-breaks change the sum) and long blocks both occur.
+    */
+  private val sideGen: Gen[Int] = Gen.frequency(3 -> Gen.choose(0, 5), 1 -> Gen.choose(0, 40))
+
+  /** An n1 × n2 block of cells at one of several densities, so empty rows,
+    * empty columns and empty blocks all occur.
+    */
+  private val blockGen: Gen[(Int, Int, Seq[Cand])] = for {
+    n1 <- sideGen
+    n2 <- sideGen
+    density <- Gen.oneOf(0.05, 0.3, 0.7, 1.0)
+    cells <- Gen.listOfN(n1 * n2, Gen.zip(Gen.prob(density), weightGen))
+  } yield (n1, n2, for (((keep, w), i) <- cells.zipWithIndex if keep) yield Cand(i / n2, i % n2, w))
+
+  test("kernel equals the reference kernel on random blocks, all six variants") {
+    // one scratch for every block, run back to back, so stale state would show
+    val scratch = new Matching.Scratch
+    val variants = Variant.paper ++ Seq(Variant.SimRankCfg, Variant.RoleSimCfg)
+    val prop = Prop.forAll(blockGen) { case (n1, n2, ps) =>
+      variants.forall { v =>
+        val got = MatchingOracle.kernel(v, ps, n1, n2, scratch)
+        val want = MatchingOracle.mapRaw(v, ps)
+        if (v == Variant.S || v == Variant.B) math.abs(got - want) <= 1e-12
+        else java.lang.Double.doubleToLongBits(got) == java.lang.Double.doubleToLongBits(want)
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 }
