@@ -23,7 +23,9 @@ final case class UbConfig(alpha: Double = 0.0, beta: Double = 0.5)
   *                   the SimRank configuration of §4.3 requires it
   * @param initOverride  custom FSim⁰(u,v) (RoleSim / SimRank init)
   * @param labelTermOverride custom per-pair value replacing L(u,v) in the
-  *                   (1−w⁺−w⁻)·L term (RoleSim uses 1, SimRank uses 0)
+  *                   (1−w⁺−w⁻)·L term (RoleSim uses 1, SimRank uses 0).
+  *                   Both overrides must be pure: the plan calls them from
+  *                   several threads, in no fixed order.
   */
 final case class FSimConfig(
     variant: Variant,

@@ -50,17 +50,18 @@ final class FSimResult(
 
 /** The multithreaded in-memory engine for Algorithm 1 (the paper's own
   * implementation is multithreaded C++; this plays that role). It runs an
-  * [[FSimPlan]] with one parallel-stream sweep over the pairs per iteration.
+  * [[FSimPlan]]: each iteration is one parallel stream over the plan's
+  * cost-balanced pair ranges, 16 per worker of the common pool, so that a
+  * few pairs with large neighbourhoods do not leave one thread working alone.
   */
 object FSimLocal {
 
   /** Compute FSimχ scores for all candidate pairs of (g1, g2). */
   def compute(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig): FSimResult = {
     val plan = new FSimPlan(g1, g2, cfg)
+    val cuts = plan.cuts(FSimPlan.localRanges)
     plan.converge { (prev, next) =>
-      java.util.stream.IntStream.range(0, plan.size).parallel().forEach { idx =>
-        next(idx) = plan.score(prev, idx)
-      }
+      FSimPlan.inParallel(cuts)((lo, hi) => plan.sweep(prev, next, lo, hi, lo))
     }
   }
 }

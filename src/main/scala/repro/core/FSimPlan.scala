@@ -2,15 +2,16 @@ package repro.core
 
 import repro.graph.LocalGraph
 import scala.collection.mutable
-import FSimPlan.PairPlan
+import FSimPlan.{PairPlan, inParallel, localRanges}
 
 /** Algorithm 1 for one (G1, G2, cfg), prepared once: the label matrix, the
   * candidate pairs H with their Eq.-6 pruning, the compiled neighbour cells,
-  * the per-pair Eq.-3 update [[score]] and the fixpoint loop [[converge]].
-  * Both engines run a plan; they differ only in the sweep that applies
-  * `score` to every pair. The Eq.-6 bound [[upperBound]] is the same update
-  * with every eligible neighbour score set to 1. Serializable so that the
-  * Spark engine can broadcast it.
+  * the Eq.-3 update over a pair range [[sweep]] and the fixpoint loop
+  * [[converge]]. Both engines run a plan and cut each iteration into the
+  * cost-balanced pair ranges of [[cuts]]; they differ only in where the
+  * ranges run. The Eq.-6 bound [[upperBound]] is the same update with every
+  * eligible neighbour score set to 1. Serializable so that the Spark engine
+  * can broadcast it.
   *
   * The plan stores, per pair and side (out, then in), the eligible (L ≥ θ)
   * cells of |N(u)| × |N(v)| in CSR form: pair p's out cells are
@@ -35,8 +36,10 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   @transient private lazy val scratch: ThreadLocal[Matching.Scratch] =
     ThreadLocal.withInitial(() => new Matching.Scratch)
 
-  /** Sorted keys u*n2+v of the candidate pairs H_c (L ≥ θ). */
-  private def candidates(): Array[Long] = {
+  /** Sorted keys u*n2+v of the candidate pairs H_c (L ≥ θ), and the index
+    * of each u's first key (g1.n + 1 entries).
+    */
+  private def candidates(): (Array[Long], Array[Int]) = {
     // g2 nodes grouped by label id, and per-Σ1-label eligible g2 nodes (L >= θ)
     val byLabel2 = Array.fill(sigma2.length)(mutable.ArrayBuffer[Int]())
     for (v <- 0 until n2) byLabel2(l2(v)) += v
@@ -45,78 +48,82 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       for (b <- sigma2.indices if lsim(a)(b) >= cfg.theta) buf ++= byLabel2(b)
       buf.toArray.sorted
     }
-    val keys = Array.newBuilder[Long]
-    for (u <- 0 until g1.n; v <- eligible2(l1(u))) keys += u.toLong * n2 + v
-    keys.result() // sorted: u asc, v asc by construction
+    val rowStart = offsets(l1.map(eligible2(_).length))
+    val keys = new Array[Long](rowStart(g1.n))
+    parallel(g1.n) { u =>
+      val vs = eligible2(l1(u))
+      var i = 0
+      while (i < vs.length) { keys(rowStart(u) + i) = u.toLong * n2 + vs(i); i += 1 }
+    }
+    (keys, rowStart) // sorted: u asc, v asc by construction
   }
 
   private def parallel(n: Int)(body: Int => Unit): Unit =
     java.util.stream.IntStream.range(0, n).parallel().forEach(i => body(i))
 
-  /** CSR offsets from per-pair, per-side cell counts. */
+  /** CSR offsets from counts (of pairs per u, or of cells per pair side). */
   private def offsets(counts: Array[Int]): Array[Int] = {
     val off = new Array[Int](counts.length + 1)
     var total = 0L
     var i = 0
     while (i < counts.length) {
       total += counts(i)
-      require(total <= Int.MaxValue, s"neighbour-pair plan exceeds ${Int.MaxValue} cells")
+      require(total <= Int.MaxValue, s"plan exceeds ${Int.MaxValue} pairs or cells")
       off(i + 1) = total.toInt
       i += 1
     }
     off
   }
 
-  /** Calls cell(a, b) for the eligible cells of s1 × s2, in (a, b) order. */
-  private def eligibleCells(s1: Array[Int], s2: Array[Int])(cell: (Int, Int) => Unit): Unit = {
+  /** The eligible cells of s1 × s2, in (a, b) order: counted when `pl` is
+    * null, else also written to `pl` from cell `at`, with src the H_c index
+    * of the cell's neighbour pair (every eligible neighbour pair is itself a
+    * candidate). Returns the count.
+    */
+  private def sideCells(s1: Array[Int], s2: Array[Int], hc: Array[Long], rowStart: Array[Int],
+                        pl: PairPlan, at: Int): Int = {
+    var c = at
     var a = 0
     while (a < s1.length) {
-      val row = lsim(l1(s1(a)))
+      val x = s1(a)
+      val row = lsim(l1(x))
+      var lo = rowStart(x)
       var b = 0
       while (b < s2.length) {
-        if (row(l2(s2(b))) >= cfg.theta) cell(a, b)
+        if (row(l2(s2(b))) >= cfg.theta) {
+          if (pl != null) {
+            // b ascends within a row, so each search starts at the last hit
+            lo = java.util.Arrays.binarySearch(hc, lo, rowStart(x + 1), x.toLong * n2 + s2(b))
+            pl.cellA(c) = a; pl.cellB(c) = b; pl.src(c) = lo
+          }
+          c += 1
+        }
         b += 1
       }
       a += 1
     }
+    c - at
   }
 
-  private def sides(u: Int, v: Int, side: Int): (Array[Int], Array[Int]) =
-    if (side == 0) (g1.outAdj(u), g2.outAdj(v)) else (g1.inAdj(u), g2.inAdj(v))
-
-  /** The cells of every pair of H_c, with src(c) the H_c index of cell c's
-    * neighbour pair: every eligible neighbour pair is itself a candidate.
-    */
-  private def compile(hc: Array[Long]): PairPlan = {
+  /** The cells and label terms of every pair of H_c. */
+  private def compile(hc: Array[Long], rowStart: Array[Int]): PairPlan = {
     val h = hc.length
-    // first H_c index of each u, for the binary searches below
-    val rowStart = new Array[Int](g1.n + 1)
-    hc.foreach(k => rowStart((k / n2).toInt + 1) += 1)
-    for (u <- 0 until g1.n) rowStart(u + 1) += rowStart(u)
-
     val counts = new Array[Int](2 * h)
     parallel(h) { p =>
-      for (side <- 0 to 1) {
-        val (s1, s2) = sides((hc(p) / n2).toInt, (hc(p) % n2).toInt, side)
-        var c = 0
-        eligibleCells(s1, s2)((_, _) => c += 1)
-        counts(2 * p + side) = c
-      }
+      val u = (hc(p) / n2).toInt; val v = (hc(p) % n2).toInt
+      counts(2 * p) = sideCells(g1.outAdj(u), g2.outAdj(v), hc, rowStart, null, 0)
+      counts(2 * p + 1) = sideCells(g1.inAdj(u), g2.inAdj(v), hc, rowStart, null, 0)
     }
     val plan = PairPlan.allocate(hc, offsets(counts))
-    parallel(h) { p =>
-      for (side <- 0 to 1) {
-        val (s1, s2) = sides((hc(p) / n2).toInt, (hc(p) % n2).toInt, side)
-        var c = plan.off(2 * p + side)
-        var lastX = -1; var lo = 0
-        eligibleCells(s1, s2) { (a, b) =>
-          val x = s1(a)
-          if (x != lastX) { lastX = x; lo = rowStart(x) }
-          // b ascends within a row, so each search starts at the last hit
-          lo = java.util.Arrays.binarySearch(hc, lo, rowStart(x + 1), x.toLong * n2 + s2(b))
-          plan.cellA(c) = a; plan.cellB(c) = b; plan.src(c) = lo
-          c += 1
-        }
+    val labelTermOf = cfg.labelTermOverride.getOrElse(labelSim _)
+    inParallel(plan.cuts(localRanges)) { (lo, hi) =>
+      var p = lo
+      while (p < hi) {
+        val u = (hc(p) / n2).toInt; val v = (hc(p) % n2).toInt
+        sideCells(g1.outAdj(u), g2.outAdj(v), hc, rowStart, plan, plan.off(2 * p))
+        sideCells(g1.inAdj(u), g2.inAdj(v), hc, rowStart, plan, plan.off(2 * p + 1))
+        plan.label(p) = labelTermOf(u, v)
+        p += 1
       }
     }
     plan
@@ -127,37 +134,53 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     * neighbour pair is pruned reads the constant α·UB of that pair.
     */
   private def prune(hc: PairPlan, ub: UbConfig): PairPlan = {
-    val h = hc.keys.length
+    val h = hc.size
     val bounds = new Array[Double](h)
-    parallel(h) { p =>
-      val u = (hc.keys(p) / n2).toInt; val v = (hc.keys(p) % n2).toInt
-      bounds(p) = update(hc, null, p, u, v, labelTermOf(u, v))
-    }
+    inParallel(hc.cuts(localRanges))((lo, hi) => update(hc, null, lo, hi, bounds, lo))
     val slot = new Array[Int](h) // kept: its new slot; pruned: −1 − its constant
-    val kept = mutable.ArrayBuffer[Int]()
-    val consts = mutable.ArrayBuffer[Double]()
-    for (p <- 0 until h) {
-      if (bounds(p) >= ub.beta) { slot(p) = kept.length; kept += p }
-      else { slot(p) = -1 - consts.length; consts += ub.alpha * bounds(p) }
+    var kept = 0
+    var p = 0
+    while (p < h) {
+      if (bounds(p) >= ub.beta) { slot(p) = kept; kept += 1 }
+      else slot(p) = -1 - (p - kept)
+      p += 1
     }
-    val keep = kept.toArray
-    val plan = PairPlan.allocate(keep.map(p => hc.keys(p)),
-      offsets(Array.tabulate(2 * keep.length)(i => hc.cells(2 * keep(i / 2) + i % 2))),
-      consts.toArray)
-    parallel(keep.length) { i =>
-      val from = hc.off(2 * keep(i)); val len = hc.off(2 * keep(i) + 2) - from
-      val to = plan.off(2 * i)
-      System.arraycopy(hc.cellA, from, plan.cellA, to, len)
-      System.arraycopy(hc.cellB, from, plan.cellB, to, len)
-      var c = 0
-      while (c < len) { plan.src(to + c) = slot(hc.src(from + c)); c += 1 }
+    val keep = new Array[Int](kept)
+    val keys = new Array[Long](kept)
+    val counts = new Array[Int](2 * kept)
+    val consts = new Array[Double](h - kept)
+    p = 0
+    while (p < h) {
+      val s = slot(p)
+      if (s < 0) consts(-1 - s) = ub.alpha * bounds(p)
+      else {
+        keep(s) = p; keys(s) = hc.keys(p)
+        counts(2 * s) = hc.cells(2 * p); counts(2 * s + 1) = hc.cells(2 * p + 1)
+      }
+      p += 1
+    }
+    val plan = PairPlan.allocate(keys, offsets(counts), consts)
+    inParallel(plan.cuts(localRanges)) { (lo, hi) =>
+      var i = lo
+      while (i < hi) {
+        val q = keep(i)
+        plan.label(i) = hc.label(q)
+        val from = hc.off(2 * q); val len = hc.off(2 * q + 2) - from
+        val to = plan.off(2 * i)
+        System.arraycopy(hc.cellA, from, plan.cellA, to, len)
+        System.arraycopy(hc.cellB, from, plan.cellB, to, len)
+        var c = 0
+        while (c < len) { plan.src(to + c) = slot(hc.src(from + c)); c += 1 }
+        i += 1
+      }
     }
     plan
   }
 
   private val plan: PairPlan = {
-    val hc = compile(candidates())
-    cfg.ub.fold(hc)(prune(hc, _))
+    val (hc, rowStart) = candidates()
+    val all = compile(hc, rowStart)
+    cfg.ub.fold(all)(prune(all, _))
   }
 
   /** Sorted keys u*n2+v of the maintained candidate pairs. */
@@ -168,16 +191,13 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   private def labelSim(u: Int, v: Int): Double = lsim(l1(u))(l2(v))
 
-  /** The value standing for L(u, v) in the label term. */
-  private def labelTermOf(u: Int, v: Int): Double =
-    cfg.labelTermOverride.fold(labelSim(u, v))(_(u, v))
-
-  private def perPair(g: (Int, Int) => Double): Array[Double] =
-    keys.map(k => g((k / n2).toInt, (k % n2).toInt))
-
-  /** FSim⁰ and the label term, per maintained pair. */
-  private val init = perPair(cfg.initOverride.getOrElse(labelSim _))
-  private val labelTerm = perPair(labelTermOf)
+  /** FSim⁰ per maintained pair. */
+  private val init: Array[Double] = {
+    val f = cfg.initOverride.getOrElse(labelSim _)
+    val a = new Array[Double](size)
+    parallel(size)(p => a(p) = f((keys(p) / n2).toInt, (keys(p) % n2).toInt))
+    a
+  }
 
   /** One side term of Eq. 3: Mχ over cells lo until hi of `pl`, weighted
     * by the previous scores `prev` (or 1 each when `prev` is null), over Ωχ.
@@ -199,17 +219,40 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     Matching.term(cfg.variant, raw, rows, cols)
   }
 
-  /** Eq. 3 for pair p = (u, v) of `pl` with label term `label`. */
-  private def update(pl: PairPlan, prev: Array[Double], p: Int, u: Int, v: Int, label: Double): Double = {
+  /** Eq. 3 for pairs lo until hi of `pl` from the previous scores `prev`
+    * (null: every neighbour score 1, the Eq.-6 bound); pair lo + i goes to
+    * out(at + i). One scratch serves the whole range.
+    */
+  private def update(pl: PairPlan, prev: Array[Double], lo: Int, hi: Int,
+                     out: Array[Double], at: Int): Unit = {
     val s = scratch.get()
-    cfg.wPlus * side(pl, prev, s, pl.off(2 * p), pl.off(2 * p + 1), g1.outAdj(u).length, g2.outAdj(v).length) +
-      cfg.wMinus * side(pl, prev, s, pl.off(2 * p + 1), pl.off(2 * p + 2), g1.inAdj(u).length, g2.inAdj(v).length) +
-      cfg.wLabel * label
+    var p = lo
+    while (p < hi) {
+      val u = (pl.keys(p) / n2).toInt; val v = (pl.keys(p) % n2).toInt
+      out(at + p - lo) =
+        cfg.wPlus * side(pl, prev, s, pl.off(2 * p), pl.off(2 * p + 1), g1.outAdj(u).length, g2.outAdj(v).length) +
+          cfg.wMinus * side(pl, prev, s, pl.off(2 * p + 1), pl.off(2 * p + 2), g1.inAdj(u).length, g2.inAdj(v).length) +
+          cfg.wLabel * pl.label(p)
+      p += 1
+    }
   }
 
-  /** Eq. 3: FSim^k of pair `idx` from the previous scores `prev`. */
-  def score(prev: Array[Double], idx: Int): Double =
-    update(plan, prev, idx, (keys(idx) / n2).toInt, (keys(idx) % n2).toInt, labelTerm(idx))
+  /** Eq. 3 over the pair range lo until hi: sets next(at + i) to FSim^k of
+    * pair lo + i from the previous scores `prev`. Ranges are independent, so
+    * any split of 0 until size gives the same scores.
+    */
+  def sweep(prev: Array[Double], next: Array[Double], lo: Int, hi: Int, at: Int): Unit =
+    update(plan, prev, lo, hi, next, at)
+
+  /** k + 1 boundaries 0 = c(0) ≤ … ≤ c(k) = size that cut the pairs into k
+    * ranges of near-equal sweep cost. A pair costs its neighbour cells plus
+    * a fixed per-pair overhead ([[cost]]); no range costs more than
+    * ⌈total / k⌉ plus the cost of one of its pairs.
+    */
+  def cuts(k: Int): Array[Int] = plan.cuts(k)
+
+  /** The sweep cost of pair p that [[cuts]] balances. */
+  private[core] def cost(p: Int): Long = plan.cost(p)
 
   /** Eq. 6 for a maintained pair: the bound FSim̄χ(u, v) ≥ FSimχ(u, v),
     * i.e. Eq. 3 with every eligible neighbour score at its maximum 1, so
@@ -218,12 +261,15 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   def upperBound(u: Int, v: Int): Double = {
     val idx = java.util.Arrays.binarySearch(keys, u.toLong * n2 + v)
     require(idx >= 0, s"($u, $v) is not a maintained pair")
-    update(plan, null, idx, u, v, labelTerm(idx))
+    val out = new Array[Double](1)
+    update(plan, null, idx, idx + 1, out, 0)
+    out(0)
   }
 
   /** The fixpoint loop of Algorithm 1, from FSim⁰ until max |Δ| < ε (or for
     * exactly `exactIters` sweeps), capped by Corollary 1. `sweep(prev, next)`
-    * must set next(i) = score(prev, i) for every pair i.
+    * must set next to FSim^k from prev, e.g. by running [[sweep]] over the
+    * ranges of some [[cuts]].
     */
   def converge(sweep: (Array[Double], Array[Double]) => Unit): FSimResult = {
     var prev = init.clone()
@@ -264,18 +310,64 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
 private object FSimPlan {
 
-  /** The compiled neighbour cells of a sorted pair list; see [[FSimPlan]]. */
-  final class PairPlan(val keys: Array[Long], val off: Array[Int], val cellA: Array[Int],
-                       val cellB: Array[Int], val src: Array[Int], val consts: Array[Double])
+  /** Sweep cost of one pair beyond its cells, in cells: the two side terms,
+    * their Ωχ and the key decoding. Used only to balance ranges.
+    */
+  final val PairCost = 2
+
+  /** Ranges of a local parallel sweep: 16 per worker of the common pool, so
+    * that work stealing evens out what the cost model misses. A constant.
+    */
+  def localRanges: Int = 16 * java.util.concurrent.ForkJoinPool.getCommonPoolParallelism
+
+  /** Runs body(c(i), c(i + 1)) for every range of the cuts `c`, in parallel. */
+  def inParallel(c: Array[Int])(body: (Int, Int) => Unit): Unit =
+    java.util.stream.IntStream.range(0, c.length - 1).parallel().forEach(i => body(c(i), c(i + 1)))
+
+  /** The compiled neighbour cells and label terms of a sorted pair list;
+    * see [[FSimPlan]].
+    */
+  final class PairPlan(val keys: Array[Long], val label: Array[Double], val off: Array[Int],
+                       val cellA: Array[Int], val cellB: Array[Int], val src: Array[Int],
+                       val consts: Array[Double])
       extends Serializable {
+    def size: Int = keys.length
+
     /** Cell count of side i (2p: out, 2p + 1: in). */
     def cells(i: Int): Int = off(i + 1) - off(i)
+
+    def cost(p: Int): Long = off(2 * p + 2) - off(2 * p) + PairCost
+
+    /** Σ cost of pairs 0 until p, read from the CSR offsets. */
+    private def costBefore(p: Int): Long = off(2 * p).toLong + PairCost.toLong * p
+
+    /** See [[FSimPlan.cuts]]: c(j) is the first pair whose cost prefix
+      * reaches ⌈j · total / k⌉.
+      */
+    def cuts(k: Int): Array[Int] = {
+      require(k >= 1, s"need k >= 1 ranges, got $k")
+      val total = costBefore(size)
+      val c = new Array[Int](k + 1)
+      var j = 1
+      while (j <= k) {
+        val target = (j * total + k - 1) / k
+        var lo = c(j - 1); var hi = size
+        while (lo < hi) {
+          val mid = (lo + hi) >>> 1
+          if (costBefore(mid) >= target) hi = mid else lo = mid + 1
+        }
+        c(j) = lo
+        j += 1
+      }
+      c
+    }
   }
 
   object PairPlan {
     def allocate(keys: Array[Long], off: Array[Int], consts: Array[Double] = Array.empty): PairPlan = {
       val n = off(off.length - 1)
-      new PairPlan(keys, off, new Array[Int](n), new Array[Int](n), new Array[Int](n), consts)
+      new PairPlan(keys, new Array[Double](keys.length), off,
+        new Array[Int](n), new Array[Int](n), new Array[Int](n), consts)
     }
   }
 }

@@ -16,22 +16,29 @@ final case class FSimSparkResult(scores: DataFrame, iterations: Int, finalDelta:
   * with each sweep distributed over the cluster.
   *
   * The plan is broadcast once. Its candidate pairs, sorted by u, are cut
-  * into one contiguous block per `defaultParallelism` slot. Each iteration
-  * broadcasts FSim^{k-1}, and one `mapPartitions` task per block returns
-  * that block's slice of FSim^k; the driver runs the max |Δ| < ε test.
+  * into one contiguous block per `defaultParallelism` slot, by the plan's
+  * cost-balanced [[FSimPlan.cuts]], so blocks hold near-equal neighbour
+  * cells rather than equal pair counts. Each iteration broadcasts
+  * FSim^{k-1}, and one `mapPartitions` task per block runs
+  * [[FSimPlan.sweep]] over its range and returns that slice of FSim^k; the
+  * max |Δ| < ε test runs in [[FSimPlan.converge]], outside the tasks.
   * Nothing is shuffled, so the scores equal FSimLocal's by construction and
   * do not depend on the shuffle partition count.
   */
 object FSimSpark {
 
   /** FSimχ over the canonical node/edge frames of [[GraphFrames]], which
-    * are collected and validated by [[GraphFrames.toLocal]].
+    * are collected and validated by [[GraphFrames.toLocal]]; once when both
+    * sides are the same frames.
     */
   def compute(spark: SparkSession,
               nodes1: DataFrame, edges1: DataFrame,
               nodes2: DataFrame, edges2: DataFrame,
-              cfg: FSimConfig): FSimSparkResult =
-    compute(spark, GraphFrames.toLocal(nodes1, edges1), GraphFrames.toLocal(nodes2, edges2), cfg)
+              cfg: FSimConfig): FSimSparkResult = {
+    val g1 = GraphFrames.toLocal(nodes1, edges1)
+    val g2 = if ((nodes2 eq nodes1) && (edges2 eq edges1)) g1 else GraphFrames.toLocal(nodes2, edges2)
+    compute(spark, g1, g2, cfg)
+  }
 
   def compute(spark: SparkSession, g1: LocalGraph, g2: LocalGraph,
               cfg: FSimConfig): FSimSparkResult = {
@@ -39,13 +46,14 @@ object FSimSpark {
     val plan = new FSimPlan(g1, g2, cfg)
     val planB = sc.broadcast(plan)
     val nBlocks = sc.defaultParallelism
-    val cuts = (0 to nBlocks).map(b => (plan.size.toLong * b / nBlocks).toInt)
-    val blocks = sc.parallelize(cuts.init.zip(cuts.tail), nBlocks)
+    val cuts = plan.cuts(nBlocks)
+    val blocks = sc.parallelize(cuts.init.zip(cuts.tail).toSeq, nBlocks)
     val res = plan.converge { (prev, next) =>
       val prevB = sc.broadcast(prev)
       blocks.mapPartitions(_.map { case (lo, hi) =>
-        val (pl, pr) = (planB.value, prevB.value)
-        (lo, Array.tabulate(hi - lo)(i => pl.score(pr, lo + i)))
+        val slice = new Array[Double](hi - lo)
+        planB.value.sweep(prevB.value, slice, lo, hi, 0)
+        (lo, slice)
       }).collect().foreach { case (lo, slice) =>
         System.arraycopy(slice, 0, next, lo, slice.length)
       }

@@ -83,9 +83,19 @@ object Matching {
     * and RoleSim use the greedy approximation of maximum weighted matching
     * the paper adopts from [23], after an exact pass over the weight-1
     * cells. The SimRank configuration sums every weight in cell order.
+    *
+    * Blocks of 0 or 1 cells, most blocks of a sparse graph at θ = 1, return
+    * before the scratch is touched, with the value the general path gives
+    * bit for bit.
     */
   def mapRaw(variant: Variant, a: Array[Int], b: Array[Int], from: Int, len: Int,
              w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
+    if (len == 0) return 0.0
+    if (len == 1) return variant match {
+      case Variant.B => w(0) + w(0)
+      case Variant.DP | Variant.BJ | Variant.RoleSimCfg => if (w(0) >= 1.0 - OneEps) 1.0 else w(0)
+      case Variant.S | Variant.SimRankCfg => w(0)
+    }
     s.ensure(len, n1, n2)
     variant match {
       case Variant.S  => sumMax(a, from, len, w, n1, s.best)

@@ -44,14 +44,19 @@ abstract class SeedExpandMatcher extends Matcher {
     val assigned = mutable.HashMap[Int, Int]()
     val used = mutable.HashSet[Int]()
 
-    def candsOf(q: Int): Array[Int] =
-      candidates(query, data, q).getOrElse((0 until data.n).toArray)
+    // each query node's candidates, once per query; None = every data node
+    val cands = Array.tabulate(query.n)(q => candidates(query, data, q))
+    val candSets = cands.map(_.map(_.toSet))
 
     def bestGlobal(q: Int): Option[(Int, Double)] = {
       var bv = -1; var bs = -1.0
-      for (v <- candsOf(q) if !used.contains(v)) {
+      def consider(v: Int): Unit = if (!used.contains(v)) {
         val sc = s(q, v)
         if (sc > bs) { bs = sc; bv = v }
+      }
+      cands(q) match {
+        case Some(vs) => vs.foreach(consider)
+        case None => var v = 0; while (v < data.n) { consider(v); v += 1 }
       }
       if (bv >= 0) Some((bv, bs)) else None
     }
@@ -80,8 +85,7 @@ abstract class SeedExpandMatcher extends Matcher {
         val local = mutable.HashSet[Int]()
         for (qa <- query.outAdj(q) if assigned.contains(qa)) local ++= data.inAdj(assigned(qa))
         for (qa <- query.inAdj(q) if assigned.contains(qa)) local ++= data.outAdj(assigned(qa))
-        val candSet = candsOf(q).toSet
-        val localEligible = local.filter(v => !used.contains(v) && candSet.contains(v))
+        val localEligible = local.filter(v => !used.contains(v) && candSets(q).forall(_.contains(v)))
         // rank local candidates by how many query edges to assigned nodes
         // they realize (G-Finder-style lookahead), then by similarity
         def satisfied(v: Int): Int =

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.graph.{DbisGen, LocalGraph}
@@ -213,9 +216,69 @@ class FSimLocalSpec extends AnyFunSuite {
     out.writeObject(plan); out.close()
     val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
       .readObject().asInstanceOf[FSimPlan]
-    def run(p: FSimPlan) = p.converge((prev, next) => next.indices.foreach(i => next(i) = p.score(prev, i)))
+    def run(p: FSimPlan) = p.converge((prev, next) => p.sweep(prev, next, 0, p.size, 0))
     val (a, b) = (run(plan), run(copy))
     assert(a.numPairs === b.numPairs)
     assert(a.pairs.map(_._3).toSeq === b.pairs.map(_._3).toSeq)
+  }
+
+  // ---- cost-balanced pair ranges ----
+
+  private def bits(res: FSimResult) = res.pairs.map(p => java.lang.Double.doubleToLongBits(p._3)).toArray
+
+  test("scores do not depend on how the sweep is cut (bj, with and without UbConfig(0, 0.5))") {
+    val g = DbisGen.generate(6, 3, 11L).graph
+    for (ub <- Seq(None, Some(UbConfig(alpha = 0.0, beta = 0.5)))) {
+      val c = cfg(Variant.BJ).copy(theta = 1.0, ub = ub)
+      val want = bits(FSimLocal.compute(g, g, c))
+      val plan = new FSimPlan(g, g, c)
+      for (k <- Seq(1, 3, FSimPlan.localRanges)) {
+        val cuts = plan.cuts(k)
+        val res = plan.converge { (prev, next) =>
+          FSimPlan.inParallel(cuts)((lo, hi) => plan.sweep(prev, next, lo, hi, lo))
+        }
+        assert(bits(res) sameElements want, s"ub=$ub, $k ranges")
+      }
+    }
+  }
+
+  /** A plan over graphs whose edges hit node 0 a third of the time, so a
+    * few pairs hold most cells, and a range count k.
+    */
+  private val cutsCase: Gen[(FSimPlan, Int)] = for {
+    n <- Gen.choose(1, 20)
+    m <- Gen.choose(0, 4 * n)
+    node = Gen.frequency(1 -> Gen.const(0), 2 -> Gen.choose(0, n - 1))
+    edges <- Gen.listOfN(m, Gen.zip(node, node))
+    nLabels <- Gen.choose(1, 3)
+    labels <- Gen.listOfN(n, Gen.choose(0, nLabels - 1).map(l => s"l$l"))
+    theta <- Gen.oneOf(0.0, 1.0)
+    disjoint <- Gen.prob(0.1) // at θ = 1, no candidate pair
+    k <- Gen.frequency(3 -> Gen.choose(1, 8), 1 -> Gen.choose(9, 1000))
+  } yield {
+    val g1 = LocalGraph.fromEdges(labels.toArray, edges)
+    val g2 = if (disjoint) LocalGraph.fromEdges(labels.map(_ + "'").toArray, edges) else g1
+    (new FSimPlan(g1, g2, cfg(Variant.BJ).copy(theta = theta)), k)
+  }
+
+  test("cuts run from 0 to size and no range costs over ⌈total/k⌉ plus one pair") {
+    var empty, fewerThanK = 0
+    val prop = Prop.forAll(cutsCase) { case (plan, k) =>
+      if (plan.size == 0) empty += 1
+      if (plan.size < k) fewerThanK += 1
+      val c = plan.cuts(k)
+      val total = (0 until plan.size).map(plan.cost).sum
+      val cap = (total + k - 1) / k
+      c.length == k + 1 && c(0) == 0 && c(k) == plan.size &&
+        (0 until k).forall { j =>
+          val range = c(j) until c(j + 1)
+          range.isEmpty || range.map(plan.cost).sum <= cap + range.map(plan.cost).max
+        }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(empty > 0 && fewerThanK > 0, s"empty plans: $empty, size < k: $fewerThanK")
   }
 }

@@ -84,6 +84,21 @@ class FSimSparkSpec extends SparkSpec {
     assertAgree(local, FSimSpark.compute(spark, g1, g2, cfg))
   }
 
+  test("spark == local on a hub-skewed graph, blocks cut by cell cost") {
+    // node 0 links to and from every other node, so the pairs (0, v), first
+    // in u order, hold most neighbour cells
+    val n = 30
+    val hub = (1 until n).flatMap(i => Seq((0, i), (i, 0)))
+    val ring = (1 until n).map(i => (i, i % (n - 1) + 1))
+    val g = repro.graph.LocalGraph.fromEdges(Array.fill(n)("a"), hub ++ ring)
+    val cfg = FSimConfig(Variant.BJ, 0.4, 0.4, theta = 1.0, exactIters = Some(5))
+    val plan = new FSimPlan(g, g, cfg)
+    val k = math.max(2, spark.sparkContext.defaultParallelism)
+    val byCount = (0 to k).map(b => (plan.size.toLong * b / k).toInt)
+    assert(plan.cuts(k).toSeq != byCount, "balanced cuts equal count cuts")
+    assertAgree(FSimLocal.compute(g, g, cfg), FSimSpark.compute(spark, g, g, cfg))
+  }
+
   test("spark == local in the §4.3 SimRank configuration") {
     val g = TestGraphs.uniform(9, 18, 1, 7)
     val cfg = SimRankRoleSim.simRankConfig(0.8, 5)

@@ -126,21 +126,41 @@ class MatchingSpec extends AnyFunSuite {
     cells <- Gen.listOfN(n1 * n2, Gen.zip(Gen.prob(density), weightGen))
   } yield (n1, n2, for (((keep, w), i) <- cells.zipWithIndex if keep) yield Cand(i / n2, i % n2, w))
 
+  private val variants = Variant.paper ++ Seq(Variant.SimRankCfg, Variant.RoleSimCfg)
+
+  private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
+
+  test("blocks of 0 and 1 cells equal the reference kernel bit for bit, all six variants") {
+    val scratch = new Matching.Scratch
+    for (v <- variants) {
+      for ((n1, n2) <- Seq((0, 0), (0, 3), (2, 0), (3, 4)))
+        assert(bits(MatchingOracle.kernel(v, Nil, n1, n2, scratch)) === bits(MatchingOracle.mapRaw(v, Nil)))
+      for (w <- Seq(0.0, 0.5, 1.0 - 2e-9, 1.0 - 1e-9, 1.0); (x, y, n1, n2) <- Seq((0, 0, 1, 1), (2, 1, 3, 4))) {
+        val ps = Seq(Cand(x, y, w))
+        assert(bits(MatchingOracle.kernel(v, ps, n1, n2, scratch)) === bits(MatchingOracle.mapRaw(v, ps)),
+          s"${v.name}, w=$w")
+      }
+    }
+  }
+
   test("kernel equals the reference kernel on random blocks, all six variants") {
     // one scratch for every block, run back to back, so stale state would show
     val scratch = new Matching.Scratch
-    val variants = Variant.paper ++ Seq(Variant.SimRankCfg, Variant.RoleSimCfg)
+    val cellCounts = scala.collection.mutable.Set[Int]()
     val prop = Prop.forAll(blockGen) { case (n1, n2, ps) =>
+      cellCounts += ps.size
       variants.forall { v =>
         val got = MatchingOracle.kernel(v, ps, n1, n2, scratch)
         val want = MatchingOracle.mapRaw(v, ps)
         if (v == Variant.S || v == Variant.B) math.abs(got - want) <= 1e-12
-        else java.lang.Double.doubleToLongBits(got) == java.lang.Double.doubleToLongBits(want)
+        else bits(got) == bits(want)
       }
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
       .withInitialSeed(Seed(20210419L))
     val result = Test.check(params, prop)
     assert(result.passed, Pretty.pretty(result))
+    // the kernel returns early for these, so the generator must draw them
+    assert(cellCounts(0) && cellCounts(1), "no block of 0 or 1 cells drawn")
   }
 }
