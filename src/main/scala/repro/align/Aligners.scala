@@ -36,15 +36,11 @@ object Aligner {
 /** FSimχ aligner (the paper's §5.4 rule): A_u = argmax_v FSimχ(u, v),
   * with θ=1 and indicator labels as in the case studies.
   */
-final class FSimAligner(variant: Variant,
-                        precomputed: Option[FSimResult] = None) extends Aligner {
+final class FSimAligner(variant: Variant) extends Aligner {
   val name = s"FSim_${variant.name}"
-  def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
-    val res = precomputed.getOrElse(
-      FSimLocal.compute(g1, g2,
-        FSimConfig(variant, wPlus = 0.4, wMinus = 0.4, theta = 1.0, epsilon = 1e-3)))
-    res.argmaxByU().map { case (u, (_, vs)) => u -> vs }
-  }
+  def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] =
+    FSimLocal.compute(g1, g2,
+      FSimConfig(variant, wPlus = 0.4, wMinus = 0.4, theta = 1.0, epsilon = 1e-3)).argmaxByU()
 }
 
 /** k-bisimulation aligner: A_u = {v : cls(u) == cls(v)}, where
@@ -87,8 +83,9 @@ final class OlapAligner extends Aligner {
   * distances to the anchors, and align nearest same-label vectors one-to-one.
   * Simplified reimplementation (DESIGN.md §3).
   */
-final class GsanaAligner(numAnchors: Int = 8) extends Aligner {
+final class GsanaAligner extends Aligner {
   val name = "GSANA"
+  private val numAnchors = 8
 
   private def bfsDist(g: LocalGraph, src: Int): Array[Int] = {
     val dist = Array.fill(g.n)(Int.MaxValue)
@@ -147,8 +144,10 @@ final class GsanaAligner(numAnchors: Int = 8) extends Aligner {
   * s ← (1−α)·h + α·⟨neighborhood mean of s⟩, then greedy one-to-one
   * extraction. Simplified reimplementation (DESIGN.md §3).
   */
-final class FinalAligner(alpha: Double = 0.8, iters: Int = 8) extends Aligner {
+final class FinalAligner extends Aligner {
   val name = "FINAL"
+  private val alpha = 0.8
+  private val iters = 8
   def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
     val n2 = g2.n
     val byLabel2 = (0 until n2).groupBy(g2.labels(_))
@@ -213,9 +212,13 @@ final class FinalAligner(alpha: Double = 0.8, iters: Int = 8) extends Aligner {
   * fractional-simulation aligners; `maxPromotions` bounds the
   * expand-when-stuck step.
   */
-final class EwsAligner(numSeeds: Int = 40, r: Int = 2, seed: Long = 5L,
-                       wrongSeedFrac: Double = 0.2, maxPromotions: Int = 80) extends Aligner {
+final class EwsAligner extends Aligner {
   val name = "EWS"
+  private val numSeeds = 40
+  private val r = 2
+  private val seed = 5L
+  private val wrongSeedFrac = 0.2
+  private val maxPromotions = 80
   def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
     val rnd = new Random(seed)
     val common = math.min(g1.n, g2.n)

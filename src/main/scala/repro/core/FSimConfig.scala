@@ -9,23 +9,17 @@ final case class UbConfig(alpha: Double = 0.0, beta: Double = 0.5)
 
 /** Configuration of an FSimχ computation (Eq. 1/3 and Remark 2).
   *
-  * @param variant    χ ∈ {s, dp, b, bj} (or a §4.3 configuration)
+  * @param variant    χ ∈ {s, dp, b, bj} (or a §4.3 configuration, which
+  *                   also fixes FSim⁰, the label term and diagonal pinning;
+  *                   see [[FSimPlan]])
   * @param wPlus      weight of the out-neighbor term, w⁺
   * @param wMinus     weight of the in-neighbor term, w⁻
   * @param labelSim   L(·); also the default initialization FSim⁰ = L
   * @param theta      label-constraint threshold θ for the mapping operator
-  * @param epsilon    convergence threshold ε on the max score change
-  * @param maxIters   hard cap on iterations (Corollary 1 bounds the need)
+  * @param epsilon    convergence threshold ε > 0 on the max score change
   * @param exactIters when set, run exactly this many iterations and skip the
   *                   ε test — used by the k-bisimulation theorem (FSim_b^k)
   * @param ub         upper-bound updating, if enabled
-  * @param pinDiagonal when G1 == G2, hold score(u,u) = 1 after each update —
-  *                   the SimRank configuration of §4.3 requires it
-  * @param initOverride  custom FSim⁰(u,v) (RoleSim / SimRank init)
-  * @param labelTermOverride custom per-pair value replacing L(u,v) in the
-  *                   (1−w⁺−w⁻)·L term (RoleSim uses 1, SimRank uses 0).
-  *                   Both overrides must be pure: the plan calls them from
-  *                   several threads, in no fixed order.
   */
 final case class FSimConfig(
     variant: Variant,
@@ -34,17 +28,14 @@ final case class FSimConfig(
     labelSim: LabelSim = LabelSim.Indicator,
     theta: Double = 0.0,
     epsilon: Double = 0.01,
-    maxIters: Int = 100,
     exactIters: Option[Int] = None,
-    ub: Option[UbConfig] = None,
-    pinDiagonal: Boolean = false,
-    initOverride: Option[(Int, Int) => Double] = None,
-    labelTermOverride: Option[(Int, Int) => Double] = None
+    ub: Option[UbConfig] = None
 ) {
   require(wPlus >= 0 && wPlus < 1, s"need 0 <= w+ < 1, got $wPlus")
   require(wMinus >= 0 && wMinus < 1, s"need 0 <= w- < 1, got $wMinus")
   require(wPlus + wMinus > 0 && wPlus + wMinus < 1, s"need 0 < w+ + w- < 1")
   require(theta >= 0 && theta <= 1, s"need 0 <= theta <= 1")
+  require(epsilon > 0, s"need epsilon > 0, got $epsilon")
 
   /** Weight of the label term, 1 − w⁺ − w⁻. */
   def wLabel: Double = 1.0 - wPlus - wMinus

@@ -3,8 +3,8 @@ package repro.core
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
-/** Result of an FSimχ computation over (G1, G2): the converged scores of
-  * every maintained candidate pair, plus run metadata.
+/** Result of an FSimχ computation over (G1, G2), from either engine: the
+  * converged scores of every maintained candidate pair, plus run metadata.
   */
 final class FSimResult(
     val n2: Int,
@@ -18,9 +18,11 @@ final class FSimResult(
   def numPairs: Int = keys.length
 
   /** FSimχ(u, v); 0.0 for pairs not maintained (pruned by θ or by the upper
-    * bound — the paper's default α = 0 treats those as zero).
+    * bound — the paper's default α = 0 treats those as zero). Rejects u < 0
+    * and v outside 0 until n2, whose keys would alias other pairs.
     */
   def score(u: Int, v: Int): Double = {
+    require(u >= 0 && v >= 0 && v < n2, s"($u, $v) is outside the node ids of G1 x G2")
     val i = java.util.Arrays.binarySearch(keys, u.toLong * n2 + v)
     if (i >= 0) scores(i) else 0.0
   }
@@ -31,20 +33,24 @@ final class FSimResult(
       ((k / n2).toInt, (k % n2).toInt, s)
     }
 
-  /** For each u, the argmax set {v : score(u,·) maximal} with the max value —
-    * the alignment rule A_u of the paper's §5.4 (ties kept, tolerance 1e-9).
+  /** Every maintained pair as (u, v) -> score, for small results. */
+  def collectScores(): Map[(Long, Long), Double] =
+    pairs.map { case (u, v, s) => (u.toLong, v.toLong) -> s }.toMap
+
+  /** For each u, the argmax set {v : score(u,·) maximal} — the alignment
+    * rule A_u of the paper's §5.4. Ties are kept with tolerance 1e-9 of the
+    * first score of the current best set, in ascending v.
     */
-  def argmaxByU(): Map[Int, (Double, Seq[Int])] = {
-    val best = mutable.HashMap.empty[Int, (Double, mutable.ArrayBuffer[Int])]
-    pairs.foreach { case (u, v, s) =>
-      best.get(u) match {
-        case None => best(u) = (s, mutable.ArrayBuffer(v))
-        case Some((b, vs)) =>
-          if (s > b + 1e-9) best(u) = (s, mutable.ArrayBuffer(v))
-          else if (s >= b - 1e-9) vs += v
-      }
+  def argmaxByU(): Map[Int, Seq[Int]] = {
+    val best = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+    var max = 0.0
+    for (i <- keys.indices) {
+      val u = (keys(i) / n2).toInt; val v = (keys(i) % n2).toInt; val s = scores(i)
+      if (i == 0 || keys(i - 1) / n2 != u || s > max + 1e-9) {
+        max = s; best(u) = mutable.ArrayBuffer(v)
+      } else if (s >= max - 1e-9) best(u) += v
     }
-    best.view.mapValues { case (s, vs) => (s, vs.toSeq) }.toMap
+    best.view.mapValues(_.toSeq).toMap
   }
 }
 

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.graph.LocalGraph
 import scala.collection.mutable
-import FSimPlan.{PairPlan, inParallel, localRanges}
+import FSimPlan.{MaxIters, PairPlan, inParallel, localRanges}
 
 /** Algorithm 1 for one (G1, G2, cfg), prepared once: the label matrix, the
   * candidate pairs H with their Eq.-6 pruning, the compiled neighbour cells,
@@ -115,14 +115,13 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       counts(2 * p + 1) = sideCells(g1.inAdj(u), g2.inAdj(v), hc, rowStart, null, 0)
     }
     val plan = PairPlan.allocate(hc, offsets(counts))
-    val labelTermOf = cfg.labelTermOverride.getOrElse(labelSim _)
     inParallel(plan.cuts(localRanges)) { (lo, hi) =>
       var p = lo
       while (p < hi) {
         val u = (hc(p) / n2).toInt; val v = (hc(p) % n2).toInt
         sideCells(g1.outAdj(u), g2.outAdj(v), hc, rowStart, plan, plan.off(2 * p))
         sideCells(g1.inAdj(u), g2.inAdj(v), hc, rowStart, plan, plan.off(2 * p + 1))
-        plan.label(p) = labelTermOf(u, v)
+        plan.label(p) = labelTerm(u, v)
         p += 1
       }
     }
@@ -191,12 +190,23 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   private def labelSim(u: Int, v: Int): Double = lsim(l1(u))(l2(v))
 
-  /** FSim⁰ per maintained pair. */
-  private val init: Array[Double] = {
-    val f = cfg.initOverride.getOrElse(labelSim _)
-    val a = new Array[Double](size)
-    parallel(size)(p => a(p) = f((keys(p) / n2).toInt, (keys(p) % n2).toInt))
-    a
+  /** The (1 − w⁺ − w⁻) term's L(u, v) and FSim⁰(u, v): L for the paper's
+    * variants; 0 and the identity for §4.3 SimRank, which also pins the
+    * diagonal; 1 and min(d)/max(d) for §4.3 RoleSim, with d the out-degree,
+    * i.e. the undirected degree on [[SimRankRoleSim.undirectedView]].
+    */
+  private def labelTerm(u: Int, v: Int): Double = cfg.variant match {
+    case Variant.SimRankCfg => 0.0
+    case Variant.RoleSimCfg => 1.0
+    case _ => labelSim(u, v)
+  }
+
+  private def init(u: Int, v: Int): Double = cfg.variant match {
+    case Variant.SimRankCfg => if (u == v) 1.0 else 0.0
+    case Variant.RoleSimCfg =>
+      val (du, dv) = (g1.outAdj(u).length, g2.outAdj(v).length)
+      if (math.max(du, dv) == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
+    case _ => labelSim(u, v)
   }
 
   /** One side term of Eq. 3: Mχ over cells lo until hi of `pl`, weighted
@@ -267,22 +277,25 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   }
 
   /** The fixpoint loop of Algorithm 1, from FSim⁰ until max |Δ| < ε (or for
-    * exactly `exactIters` sweeps), capped by Corollary 1. `sweep(prev, next)`
-    * must set next to FSim^k from prev, e.g. by running [[sweep]] over the
-    * ranges of some [[cuts]].
+    * exactly `exactIters` sweeps), capped by Corollary 1 and [[MaxIters]].
+    * `sweep(prev, next)` must set next to FSim^k from prev, e.g. by running
+    * [[sweep]] over the ranges of some [[cuts]].
     */
   def converge(sweep: (Array[Double], Array[Double]) => Unit): FSimResult = {
-    var prev = init.clone()
+    val fsim0 = new Array[Double](size)
+    parallel(size)(p => fsim0(p) = init((keys(p) / n2).toInt, (keys(p) % n2).toInt))
+    var prev = fsim0
     var next = new Array[Double](size)
-    if (cfg.pinDiagonal) pin(prev)
+    val simRank = cfg.variant == Variant.SimRankCfg
+    if (simRank) pin(prev)
 
-    val maxIters = cfg.exactIters.getOrElse(math.min(cfg.maxIters, cfg.iterationBound + 1))
+    val cap = cfg.exactIters.getOrElse(math.min(MaxIters, cfg.iterationBound.toLong + 1).toInt)
     var iter = 0
     var delta = Double.MaxValue
     var done = false
-    while (!done && iter < maxIters) {
+    while (!done && iter < cap) {
       sweep(prev, next)
-      if (cfg.pinDiagonal) pin(next)
+      if (simRank) pin(next)
       delta = 0.0
       var j = 0
       while (j < size) {
@@ -309,6 +322,9 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 }
 
 private object FSimPlan {
+
+  /** Iteration cap of a run to ε (Corollary 1 bounds the need). */
+  final val MaxIters = 100
 
   /** Sweep cost of one pair beyond its cells, in cells: the two side terms,
     * their Ωχ and the key decoding. Used only to balance ranges.

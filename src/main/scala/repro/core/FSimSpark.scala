@@ -3,15 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.{GraphFrames, LocalGraph}
 
-/** Result of a distributed FSimχ run: converged candidate-pair scores as a
-  * DataFrame (u, v, score) plus run metadata.
-  */
-final case class FSimSparkResult(scores: DataFrame, iterations: Int, finalDelta: Double) {
-  /** Collect to a map for small result sets (tests, rankings). */
-  def collectScores(): Map[(Long, Long), Double] =
-    scores.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
-}
-
 /** FSimχ on Spark: the same [[FSimPlan]] and fixpoint loop as [[FSimLocal]],
   * with each sweep distributed over the cluster.
   *
@@ -23,7 +14,8 @@ final case class FSimSparkResult(scores: DataFrame, iterations: Int, finalDelta:
   * [[FSimPlan.sweep]] over its range and returns that slice of FSim^k; the
   * max |Δ| < ε test runs in [[FSimPlan.converge]], outside the tasks.
   * Nothing is shuffled, so the scores equal FSimLocal's by construction and
-  * do not depend on the shuffle partition count.
+  * do not depend on the shuffle partition count. The result is the
+  * [[FSimResult]] that `converge` builds on the driver.
   */
 object FSimSpark {
 
@@ -34,14 +26,14 @@ object FSimSpark {
   def compute(spark: SparkSession,
               nodes1: DataFrame, edges1: DataFrame,
               nodes2: DataFrame, edges2: DataFrame,
-              cfg: FSimConfig): FSimSparkResult = {
+              cfg: FSimConfig): FSimResult = {
     val g1 = GraphFrames.toLocal(nodes1, edges1)
     val g2 = if ((nodes2 eq nodes1) && (edges2 eq edges1)) g1 else GraphFrames.toLocal(nodes2, edges2)
     compute(spark, g1, g2, cfg)
   }
 
   def compute(spark: SparkSession, g1: LocalGraph, g2: LocalGraph,
-              cfg: FSimConfig): FSimSparkResult = {
+              cfg: FSimConfig): FSimResult = {
     val sc = spark.sparkContext
     val plan = new FSimPlan(g1, g2, cfg)
     val planB = sc.broadcast(plan)
@@ -60,9 +52,6 @@ object FSimSpark {
       prevB.destroy()
     }
     planB.destroy()
-
-    import spark.implicits._
-    val scores = res.pairs.map { case (u, v, s) => (u.toLong, v.toLong, s) }.toSeq
-    FSimSparkResult(scores.toDF("u", "v", "score"), res.iterations, res.finalDelta)
+    res
   }
 }

@@ -35,16 +35,14 @@ object SimRankRoleSim {
   }
 
   /** The FSimχ configuration of SimRank (§4.3): w⁺=0, w⁻=c, M=S1×S2,
-    * Ω=|S1||S2|, L≡0, init = identity, diagonal pinned.
+    * Ω=|S1||S2|; [[Variant.SimRankCfg]] also sets L≡0, init = identity and
+    * pins the diagonal.
     */
   def simRankConfig(c: Double = 0.8, iters: Int = 10): FSimConfig = FSimConfig(
     variant = Variant.SimRankCfg,
     wPlus = 1e-12, // framework requires w+ + w- > 0 and each < 1; out side is ~0
     wMinus = c,
-    exactIters = Some(iters),
-    pinDiagonal = true,
-    initOverride = Some((u, v) => if (u == v) 1.0 else 0.0),
-    labelTermOverride = Some((_, _) => 0.0)
+    exactIters = Some(iters)
   )
 
   /** RoleSim with decay β on the *undirected* view of g:
@@ -82,27 +80,22 @@ object SimRankRoleSim {
   }
 
   /** The FSimχ configuration of RoleSim (§4.3): undirected neighbors as
-    * out-neighbors (use [[undirectedView]]), w⁻→0, L≡1, greedy matching with
-    * Ω = max degree, init min(d)/max(d).
+    * out-neighbors (use [[undirectedView]]), w⁻→0, greedy matching with
+    * Ω = max degree; [[Variant.RoleSimCfg]] also sets L≡1 and init
+    * min(d)/max(d).
     */
-  def roleSimConfig(g: LocalGraph, beta: Double = 0.2, iters: Int = 10): FSimConfig = {
-    def d(u: Int) = g.undirectedNeighbors(u).length
-    FSimConfig(
-      variant = Variant.RoleSimCfg,
-      wPlus = 1 - beta,
-      wMinus = 1e-12,
-      exactIters = Some(iters),
-      initOverride = Some { (u, v) =>
-        if (math.max(d(u), d(v)) == 0) 1.0
-        else math.min(d(u), d(v)).toDouble / math.max(d(u), d(v))
-      },
-      labelTermOverride = Some((_, _) => 1.0)
-    )
-  }
+  def roleSimConfig(beta: Double = 0.2, iters: Int = 10): FSimConfig = FSimConfig(
+    variant = Variant.RoleSimCfg,
+    wPlus = 1 - beta,
+    wMinus = 1e-12,
+    exactIters = Some(iters)
+  )
 
-  /** Replace adjacency with the undirected closure as out-edges (in-edges
-    * empty) — the graph model adaptation §4.3 uses for RoleSim and the WL
-    * test. All labels are collapsed (label-free model).
+  /** Replace adjacency with the undirected closure — the graph model
+    * adaptation §4.3 uses for RoleSim and the WL test. Every undirected edge
+    * is added both ways, so in-edges equal out-edges; RoleSim's w⁻ = 1e-12
+    * keeps the in-side out of the scores. All labels are collapsed
+    * (label-free model).
     */
   def undirectedView(g: LocalGraph): LocalGraph = {
     val edges = (0 until g.n).flatMap(u => g.undirectedNeighbors(u).map(v => (u, v)))

@@ -47,11 +47,7 @@ object Table78 {
 
     val cfg = FSimConfig(Variant.B, wPlus = 0.4, wMinus = 0.4, theta = 1.0)
     val fsimB = FSimLocal.compute(g, g, cfg)
-    val sparkBj = FSimSpark.compute(spark, g, g, cfg.copy(variant = Variant.BJ))
-    val nVenues = data.venues.size
-    val bjVenue: Map[(Long, Long), Double] = sparkBj.scores
-      .filter(s"u < $nVenues and v < $nVenues").collect()
-      .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+    val fsimBj = FSimSpark.compute(spark, g, g, cfg.copy(variant = Variant.BJ))
 
     Computed(data, Map(
       "PCRW" -> ((a: Int, b: Int) => pcrw(a).getOrElse(b, 0.0)),
@@ -59,7 +55,7 @@ object Table78 {
       "JoinSim" -> ((a: Int, b: Int) => MetaPath.joinSim(m)(a, b)),
       "nSimGram" -> ((a: Int, b: Int) => NSimGram.cosine(prof(a), prof(b))),
       "FSim_b" -> ((a: Int, b: Int) => fsimB.score(a, b)),
-      "FSim_bj" -> ((a: Int, b: Int) => bjVenue.getOrElse((a.toLong, b.toLong), 0.0))))
+      "FSim_bj" -> ((a: Int, b: Int) => fsimBj.score(a, b))))
   }
 
   /** Rank all venues by similarity to `subject` (self included, ties by name

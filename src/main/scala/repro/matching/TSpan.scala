@@ -10,18 +10,19 @@ import scala.collection.mutable
   * like TSpan it tolerates missing *edges* but not label-mismatched *nodes*
   * — so label-noised queries usually produce no result (paper Table 6, "-").
   */
-final class TSpanMatcher(maxMissEdges: Int, budget: Long = 400000L) extends Matcher {
+final class TSpanMatcher(maxMissEdges: Int) extends Matcher {
   val name = s"TSpan-$maxMissEdges"
+  private val budget = 400000L // backtracking steps per search
 
   def matchQuery(query: LocalGraph, data: LocalGraph): Map[Int, Int] = {
     // iterative deepening on the miss budget: like TSpan's edit-distance
     // semantics, return a match with the *minimum* number of mismatched
     // edges, trying 0 misses first
-    var budget = 0
-    while (budget <= maxMissEdges) {
-      val res = search(query, data, budget)
+    var misses = 0
+    while (misses <= maxMissEdges) {
+      val res = search(query, data, misses)
       if (res.nonEmpty) return res
-      budget += 1
+      misses += 1
     }
     Map.empty
   }

@@ -46,7 +46,7 @@ class AlignersSpec extends AnyFunSuite {
   }
 
   test("EWS percolates well beyond its seeds on near-identical versions") {
-    val al = new EwsAligner(numSeeds = 40)
+    val al = new EwsAligner
     val res = al.align(vs.g2, vs.g3)
     assert(res.size > 200, s"only ${res.size} matched")
     val f1 = Aligner.f1Identity(vs.g2, res)

@@ -67,6 +67,19 @@ class FSimLocalSpec extends AnyFunSuite {
     assert(c.iterationBound === math.ceil(math.log(0.01) / math.log(0.8)).toInt)
   }
 
+  test("ε ≤ 0 and NaN are rejected; a Corollary-1 bound of Int.MaxValue runs 100 iterations") {
+    for (eps <- Seq(0.0, -0.01, Double.NaN))
+      intercept[IllegalArgumentException](FSimConfig(Variant.S, epsilon = eps))
+    val c = FSimConfig(Variant.S, wPlus = 0.5, wMinus = 0.4999999999999999, epsilon = 1e-300)
+    assert(c.iterationBound === Int.MaxValue)
+    // a 2-cycle a ⇄ b against an a self-loop: the two pairs swap scores each
+    // sweep, so max |Δ| stays near 1 and only the cap ends the run
+    val g1 = LocalGraph.fromEdges(Array("a", "b"), Seq((0, 1), (1, 0)))
+    val g2 = LocalGraph.fromEdges(Array("a"), Seq((0, 0)))
+    val res = FSimLocal.compute(g1, g2, c)
+    assert((res.iterations, res.finalDelta > 0.5) === ((100, true)))
+  }
+
   test("original Milner semantics: w- = 0 ignores in-neighbors") {
     // u with an extra in-neighbor is still fully simulated when w- = 0
     val g1 = LocalGraph.fromEdges(Array("a", "p"), Seq((1, 0)))
@@ -187,6 +200,28 @@ class FSimLocalSpec extends AnyFunSuite {
     val res = FSimLocal.compute(g1, g2, cfg(Variant.S).copy(theta = 1.0))
     assert(res.numPairs === 0)
     assert(res.score(0, 0) === 0.0)
+  }
+
+  test("result lookup: ids outside G1 × G2 are rejected, not read from another row") {
+    val g = TestGraphs.uniform(3, 4, 1, 2)
+    val res = FSimLocal.compute(g, g, cfg(Variant.S))
+    assert(res.numPairs === 9)
+    for ((u, v) <- Seq((0, 3), (1, -1), (-1, 0), (2, 3)))
+      intercept[IllegalArgumentException](res.score(u, v))
+  }
+
+  test("argmaxByU keeps ties within 1e-9 of the first best score, in ascending v") {
+    // u = 2: 0.5 + 0.9e-9 ties with 0.5, and 0.5 + 1.8e-9 beats 0.5, the
+    // first score of the best set, by more than 1e-9; u = 3 has no pair
+    val n2 = 4
+    val rows = Seq(
+      0 -> Seq(0.9, 0.9 + 0.9e-9, 0.9 - 0.9e-9, 0.3),
+      1 -> Seq(0.2, 0.7, 0.7 + 2e-9),
+      2 -> Seq(0.5, 0.5 + 0.9e-9, 0.5 + 1.8e-9),
+      4 -> Seq(0.1))
+    val keys = rows.flatMap { case (u, ss) => ss.indices.map(v => u.toLong * n2 + v) }.toArray
+    val res = new FSimResult(n2, keys, rows.flatMap(_._2).toArray, 1, 0.0)
+    assert(res.argmaxByU() === Map(0 -> Seq(0, 1, 2), 1 -> Seq(2), 2 -> Seq(2), 4 -> Seq(0)))
   }
 
   test("scores do not depend on the thread count (bj, with and without UbConfig(0, 0.5))") {

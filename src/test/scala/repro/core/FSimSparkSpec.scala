@@ -14,7 +14,7 @@ class FSimSparkSpec extends SparkSpec {
     assertAgree(FSimLocal.compute(g1, g2, cfg), FSimSpark.compute(spark, g1, g2, cfg))
   }
 
-  private def assertAgree(local: FSimResult, dist: FSimSparkResult): Unit = {
+  private def assertAgree(local: FSimResult, dist: FSimResult): Unit = {
     val distScores = dist.collectScores()
     assert(distScores.size === local.numPairs, "candidate-pair sets differ")
     for (((u, v), s) <- distScores)
@@ -105,6 +105,12 @@ class FSimSparkSpec extends SparkSpec {
     assertAgree(FSimLocal.compute(g, g, cfg), FSimSpark.compute(spark, g, g, cfg))
   }
 
+  test("spark == local in the §4.3 RoleSim configuration") {
+    val g = SimRankRoleSim.undirectedView(TestGraphs.uniform(9, 18, 1, 7))
+    val cfg = SimRankRoleSim.roleSimConfig(0.2, 5)
+    assertAgree(FSimLocal.compute(g, g, cfg), FSimSpark.compute(spark, g, g, cfg))
+  }
+
   test("duplicate edges in the input frames are dropped, as in LocalGraph.fromEdges") {
     import spark.implicits._
     val g1 = TestGraphs.uniform(9, 18, 2, 4)
@@ -136,7 +142,7 @@ class FSimSparkSpec extends SparkSpec {
     val g1 = repro.graph.LocalGraph.fromEdges(Array("a"), Seq.empty)
     val g2 = repro.graph.LocalGraph.fromEdges(Array("b"), Seq.empty)
     val res = FSimSpark.compute(spark, g1, g2, FSimConfig(Variant.S, 0.4, 0.4, theta = 1.0))
-    assert(res.scores.count() === 0L)
+    assert(res.numPairs === 0)
   }
 
   test("candidate pairs under θ=1 equal the same-label cross product (oracle)") {
@@ -151,6 +157,6 @@ class FSimSparkSpec extends SparkSpec {
       "SELECT count(*) AS cnt FROM n1, n2 WHERE n1.label = n2.label",
       "n1" -> n1, "n2" -> n2)
     val res = FSimSpark.compute(spark, g1, g2, FSimConfig(Variant.S, 0.4, 0.4, theta = 1.0))
-    assert(res.scores.count() === candCount.first().getLong(0))
+    assert(res.numPairs.toLong === candCount.first().getLong(0))
   }
 }

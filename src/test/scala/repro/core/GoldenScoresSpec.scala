@@ -49,7 +49,7 @@ class GoldenScoresSpec extends AnyFunSuite {
 
   test("golden: RoleSim configuration and direct RoleSim on a GraphGen graph, bitwise") {
     val und = SimRankRoleSim.undirectedView(gen)
-    assertBits(FSimLocal.compute(und, und, SimRankRoleSim.roleSimConfig(gen)), 3600, 10,
+    assertBits(FSimLocal.compute(und, und, SimRankRoleSim.roleSimConfig()), 3600, 10,
       7639806408609673845L)
     assert(checksum(SimRankRoleSim.roleSim(gen).iterator.flatMap(_.iterator)) ===
       2717045900963416097L)

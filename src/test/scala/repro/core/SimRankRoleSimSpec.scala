@@ -31,7 +31,7 @@ class SimRankRoleSimSpec extends AnyFunSuite {
       val direct = SimRankRoleSim.roleSim(g0, beta = 0.2, iters = iters)
       val und = SimRankRoleSim.undirectedView(g0)
       val viaFramework = FSimLocal.compute(und, und,
-        SimRankRoleSim.roleSimConfig(g0, 0.2, iters))
+        SimRankRoleSim.roleSimConfig(0.2, iters))
       for (u <- 0 until g0.n; v <- 0 until g0.n)
         assert(math.abs(direct(u)(v) - viaFramework.score(u, v)) < 1e-6,
           s"($u,$v): direct=${direct(u)(v)} fsim=${viaFramework.score(u, v)}")
