@@ -194,6 +194,54 @@ class FSimLocalSpec extends AnyFunSuite {
     }
   }
 
+  test("configs outside their domain are rejected: UbConfig outside [0, 1] or NaN, exactIters < 0") {
+    for ((alpha, beta) <- Seq((Double.NaN, 0.5), (0.0, Double.NaN), (-1.0, 0.5), (1.5, 0.5),
+                              (0.0, -0.1), (0.0, 2.0)))
+      intercept[IllegalArgumentException](UbConfig(alpha, beta))
+    intercept[IllegalArgumentException](cfg(Variant.BJ).copy(exactIters = Some(-3)))
+    assert(UbConfig(0.0, 0.0).beta === 0.0 && UbConfig(1.0, 1.0).alpha === 1.0)
+    assert(cfg(Variant.BJ).copy(exactIters = Some(0)).exactIters === Some(0))
+  }
+
+  /** Two labelled digraphs of at most 12 nodes with 1–3 labels, self-loops
+    * and isolated nodes allowed; G2 is G1 half the time, so exact
+    * simulations (score 1) occur.
+    */
+  private val ubCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = {
+    val graph = for {
+      n <- Gen.choose(1, 12)
+      m <- Gen.choose(0, 3 * n)
+      edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+      nLabels <- Gen.choose(1, 3)
+      labels <- Gen.listOfN(n, Gen.choose(0, nLabels - 1).map(l => s"l$l"))
+    } yield LocalGraph.fromEdges(labels.toArray, edges)
+    for {
+      g1 <- graph
+      g2 <- Gen.oneOf(Gen.const(g1), graph)
+      variant <- Gen.oneOf(Variant.paper)
+      theta <- Gen.oneOf(0.0, 1.0)
+      beta <- Gen.oneOf(0.5, 1.0)
+    } yield (g1, g2, cfg(variant).copy(theta = theta, ub = Some(UbConfig(alpha = 0.0, beta = beta))))
+  }
+
+  test("ub pruning never removes or lowers a pair that scores 1 without bounds") {
+    var ones = 0
+    val prop = Prop.forAll(ubCase) { case (g1, g2, c) =>
+      val ub = FSimLocal.compute(g1, g2, c)
+      val kept = ub.pairs.map(p => (p._1, p._2)).toSet
+      FSimLocal.compute(g1, g2, c.copy(ub = None)).pairs.filter(_._3 >= 1.0 - 1e-9).forall {
+        case (u, v, s) =>
+          ones += 1
+          kept((u, v)) && ub.score(u, v) >= s - 1e-12
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(ones > 0, "no pair scores 1")
+  }
+
   test("result lookup: unmaintained pairs score 0") {
     val g1 = LocalGraph.fromEdges(Array("a"), Seq.empty)
     val g2 = LocalGraph.fromEdges(Array("b"), Seq.empty)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.graph.{DbisGen, GraphGen}
 import scala.io.Source
 
@@ -53,6 +54,19 @@ class GoldenScoresSpec extends AnyFunSuite {
       7639806408609673845L)
     assert(checksum(SimRankRoleSim.roleSim(gen).iterator.flatMap(_.iterator)) ===
       2717045900963416097L)
+  }
+
+  test("golden: SimRank and RoleSim configurations with UbConfig(0.2, 0.5), bitwise") {
+    // only maintained diagonal pairs are pinned to 1; a pruned diagonal pair
+    // keeps α·UB, and that is what its neighbours read
+    val g = TestGraphs.uniform(12, 20, 1, 5)
+    val ub = Some(UbConfig(alpha = 0.2, beta = 0.5))
+    val simRank = FSimLocal.compute(g, g, SimRankRoleSim.simRankConfig().copy(ub = ub))
+    assertBits(simRank, 81, 10, -8247039769067825322L)
+    assert(simRank.pairs.map(_._3).sum === 12.005872234864299)
+    val und = SimRankRoleSim.undirectedView(g)
+    assertBits(FSimLocal.compute(und, und, SimRankRoleSim.roleSimConfig().copy(ub = ub)), 112, 10,
+      2322622809790165517L)
   }
 
   for (variant <- Seq(Variant.S, Variant.B)) {
