@@ -43,19 +43,14 @@ final class FSimAligner(variant: Variant) extends Aligner {
       FSimConfig(variant, wPlus = 0.4, wMinus = 0.4, theta = 1.0, epsilon = 1e-3)).argmaxByU()
 }
 
-/** k-bisimulation aligner: A_u = {v : cls(u) == cls(v)}, where
-  * `classes(union, k)` gives the class of each node of the disjoint union
-  * (so classes are comparable across the two graphs), per [21]/[10]. The
-  * default is the local partition [[KBisimulation.classes]]; Table 9 passes
-  * the Spark signatures.
+/** k-bisimulation aligner: A_u = {v : cls(u) == cls(v)}, where cls is
+  * [[KBisimulation.classes]] on the disjoint union (so classes are comparable
+  * across the two graphs), per [21]/[10].
   */
-final class KBisimAligner(k: Int,
-                          classes: (LocalGraph, Int) => Int => Any =
-                            (union, depth) => KBisimulation.classes(union, depth).toSeq)
-    extends Aligner {
+final class KBisimAligner(k: Int) extends Aligner {
   val name = s"$k-bisim"
   def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
-    val cls = classes(g1.disjointUnion(g2), k)
+    val cls = KBisimulation.classes(g1.disjointUnion(g2), k)
     val byClass2 = (0 until g2.n).groupBy(v => cls(g1.n + v))
     (0 until g1.n).map(u => u -> byClass2.getOrElse(cls(u), Seq.empty).toSeq).toMap
   }
@@ -87,19 +82,6 @@ final class GsanaAligner extends Aligner {
   val name = "GSANA"
   private val numAnchors = 8
 
-  private def bfsDist(g: LocalGraph, src: Int): Array[Int] = {
-    val dist = Array.fill(g.n)(Int.MaxValue)
-    dist(src) = 0
-    val q = mutable.Queue(src)
-    while (q.nonEmpty) {
-      val u = q.dequeue()
-      for (w <- g.undirectedNeighbors(u) if dist(w) == Int.MaxValue) {
-        dist(w) = dist(u) + 1; q += w
-      }
-    }
-    dist
-  }
-
   def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
     // anchors: top-degree g1 nodes matched to the same-label g2 node of
     // closest total degree
@@ -116,11 +98,11 @@ final class GsanaAligner extends Aligner {
       }
     }
     if (anchorPairs.isEmpty) return Map.empty
-    val d1 = anchorPairs.map(p => bfsDist(g1, p._1)).toArray
-    val d2 = anchorPairs.map(p => bfsDist(g2, p._2)).toArray
+    val d1 = anchorPairs.map(p => g1.distances(p._1)).toArray
+    val d2 = anchorPairs.map(p => g2.distances(p._2)).toArray
 
     def vec(ds: Array[Array[Int]], u: Int): Array[Int] =
-      ds.map(d => if (d(u) == Int.MaxValue) 99 else math.min(d(u), 99))
+      ds.map(d => if (d(u) < 0) 99 else math.min(d(u), 99))
 
     val byLabel2 = (0 until g2.n).groupBy(g2.labels(_))
     val used = mutable.HashSet[Int]()
@@ -155,15 +137,15 @@ final class FinalAligner extends Aligner {
     val keys = (0 until g1.n).flatMap(u =>
       byLabel2.getOrElse(g1.labels(u), Seq.empty).map(v => u.toLong * n2 + v)).toArray
     java.util.Arrays.sort(keys)
-    val index = new mutable.LongMap[Int](keys.length * 2)
-    keys.zipWithIndex.foreach { case (k, i) => index(k) = i }
     var prev = Array.fill(keys.length)(1.0)
     var next = new Array[Double](keys.length)
     val und1 = Array.tabulate(g1.n)(g1.undirectedNeighbors)
     val und2 = Array.tabulate(g2.n)(g2.undirectedNeighbors)
 
-    def get(scores: Array[Double], x: Int, y: Int): Double =
-      index.get(x.toLong * n2 + y).map(scores).getOrElse(0.0)
+    def get(scores: Array[Double], x: Int, y: Int): Double = {
+      val i = java.util.Arrays.binarySearch(keys, x.toLong * n2 + y)
+      if (i >= 0) scores(i) else 0.0
+    }
 
     for (_ <- 1 to iters) {
       java.util.stream.IntStream.range(0, keys.length).parallel().forEach { i =>

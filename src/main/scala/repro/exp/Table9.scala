@@ -3,13 +3,13 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.align._
 import repro.core._
-import repro.graph.{GraphFrames, LocalGraph, RdfVersions}
+import repro.graph.{LocalGraph, RdfVersions}
 
 /** Table 9: RDF graph-alignment F1 on evolving versions G1-G2 and G1-G3.
-  * The 2-/4-bisimulation baselines run on the *Spark* signature-refinement
-  * engine ([[KBisimulation.signaturesSpark]] over the disjoint union); the
-  * remaining aligners (Olap-, GSANA-, FINAL-, EWS-like, FSim_b, FSim_bj) run
-  * on the local substrates. Ground truth: identity on shared node ids.
+  * Every aligner runs locally: the 2-/4-bisimulation baselines on the exact
+  * classes of [[KBisimulation.classes]] over the disjoint union, then the
+  * Olap-, GSANA-, FINAL-, EWS-like aligners and FSim_b, FSim_bj. Ground
+  * truth: identity on shared node ids.
   */
 object Table9 {
 
@@ -29,15 +29,9 @@ object Table9 {
 
   final case class Row(pair: String, aligner: String, f1: Double)
 
-  /** k-bisimulation classes from the distributed signature refinement. */
-  private def sparkSignatures(spark: SparkSession)(g: LocalGraph, k: Int): Int => Long =
-    KBisimulation.signaturesSpark(spark,
-        GraphFrames.nodesDF(spark, g), GraphFrames.edgesDF(spark, g), k)
-      .collect().map(r => r.getLong(0).toInt -> r.getLong(1)).toMap
-
-  def aligners(spark: SparkSession): Seq[Aligner] = Seq(
-    new KBisimAligner(2, sparkSignatures(spark)),
-    new KBisimAligner(4, sparkSignatures(spark)),
+  def aligners: Seq[Aligner] = Seq(
+    new KBisimAligner(2),
+    new KBisimAligner(4),
     new OlapAligner,
     new GsanaAligner,
     new FinalAligner,
@@ -45,10 +39,10 @@ object Table9 {
     new FSimAligner(Variant.B),
     new FSimAligner(Variant.BJ))
 
-  def compute(spark: SparkSession, n3: Int = 1500): Seq[Row] = {
+  def compute(n3: Int = 1500): Seq[Row] = {
     val vs = RdfVersions.generate(n3 = n3)
     val pairs = Seq("G1-G2" -> (vs.g1, vs.g2), "G1-G3" -> (vs.g1, vs.g3))
-    for ((pname, (a, b)) <- pairs; al <- aligners(spark)) yield {
+    for ((pname, (a, b)) <- pairs; al <- aligners) yield {
       Row(pname, al.name, 100.0 * Aligner.f1Identity(a, al.align(a, b)))
     }
   }
@@ -82,5 +76,5 @@ object Table9 {
     sb.toString
   }
 
-  def main0(spark: SparkSession): String = render(compute(spark))
+  def main0(spark: SparkSession): String = render(compute())
 }

@@ -26,9 +26,7 @@ object DbisGen {
       venueNode: Map[String, Int], // venue name -> node id
       paperRange: Range,
       authorRange: Range
-  ) {
-    def venueOf(nodeId: Int): Option[Venue] = venues.find(v => venueNode(v.name) == nodeId)
-  }
+  )
 
   /** Venue universe: ~44 venues over 6 areas, tier 1/2, from the CORE-style
     * world the paper scored relevance against. WWW duplicates included.

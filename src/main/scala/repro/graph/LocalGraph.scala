@@ -50,26 +50,30 @@ final class LocalGraph(
   def undirectedNeighbors(u: Int): Array[Int] =
     (outAdj(u) ++ inAdj(u)).distinct.sorted
 
-  /** Nodes within (shortest-path, undirected) distance `radius` of `center` —
-    * the ball used by strong simulation (Ma et al.), G[v, δ_Q].
+  /** Undirected shortest-path distance from `src` to every node, by BFS:
+    * -1 for nodes that are unreachable or farther than `radius`.
     */
-  def ball(center: Int, radius: Int): Array[Int] = {
-    val dist  = mutable.HashMap[Int, Int](center -> 0)
-    val queue = mutable.Queue(center)
+  def distances(src: Int, radius: Int = Int.MaxValue): Array[Int] = {
+    val dist = new Array[Int](n)
+    java.util.Arrays.fill(dist, -1)
+    dist(src) = 0
+    val queue = mutable.Queue(src)
     while (queue.nonEmpty) {
       val u = queue.dequeue()
-      val d = dist(u)
-      if (d < radius) {
-        var i = 0
-        val nbrs = undirectedNeighbors(u)
-        while (i < nbrs.length) {
-          val w = nbrs(i)
-          if (!dist.contains(w)) { dist(w) = d + 1; queue += w }
-          i += 1
-        }
-      }
+      if (dist(u) < radius)
+        for (w <- undirectedNeighbors(u) if dist(w) < 0) { dist(w) = dist(u) + 1; queue += w }
     }
-    dist.keys.toArray.sorted
+    dist
+  }
+
+  /** Nodes within (shortest-path, undirected) distance `radius` of `center`,
+    * ascending — the ball used by strong simulation (Ma et al.), G[v, δ_Q].
+    */
+  def ball(center: Int, radius: Int): Array[Int] = {
+    val dist = distances(center, radius)
+    // an IntStream scans the n slots unboxed; strong simulation asks for
+    // up to 300 balls per query
+    java.util.stream.IntStream.range(0, n).filter(dist(_) >= 0).toArray
   }
 
   /** Induced subgraph on `nodes`; returns the subgraph and the mapping from
@@ -88,21 +92,7 @@ final class LocalGraph(
     * δ_Q by strong simulation. For disconnected graphs returns the maximum
     * eccentricity within components.
     */
-  def diameter: Int = {
-    var best = 0
-    for (s <- 0 until n) {
-      val dist = Array.fill(n)(-1)
-      dist(s) = 0
-      val q = mutable.Queue(s)
-      while (q.nonEmpty) {
-        val u = q.dequeue()
-        for (w <- undirectedNeighbors(u) if dist(w) < 0) { dist(w) = dist(u) + 1; q += w }
-      }
-      val ecc = dist.max
-      if (ecc > best) best = ecc
-    }
-    best
-  }
+  def diameter: Int = (0 until n).map(distances(_).max).maxOption.getOrElse(0)
 
   /** Extract a connected query subgraph of about `size` nodes by undirected
     * BFS from a random start. Returns (query, origIds) where origIds(q) is the

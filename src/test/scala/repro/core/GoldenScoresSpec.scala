@@ -52,7 +52,7 @@ class GoldenScoresSpec extends AnyFunSuite {
     val und = SimRankRoleSim.undirectedView(gen)
     assertBits(FSimLocal.compute(und, und, SimRankRoleSim.roleSimConfig()), 3600, 10,
       7639806408609673845L)
-    assert(checksum(SimRankRoleSim.roleSim(gen).iterator.flatMap(_.iterator)) ===
+    assert(checksum(DirectSimRankRoleSim.roleSim(gen).iterator.flatMap(_.iterator)) ===
       2717045900963416097L)
   }
 

@@ -29,6 +29,15 @@ class WLSpec extends AnyFunSuite {
     }
   }
 
+  test("WL runs to the stable partition on a 200-node path") {
+    // the stable colour of node i is its distance to the nearer end: 100 classes
+    val path = undirected(LocalGraph.fromEdges(Array.fill(200)("_"), (0 until 199).map(i => (i, i + 1))))
+    val (c, _) = WLTest.colors(path, path)
+    assert(c.distinct.length === 100)
+    assert(c(70) !== c(100))
+    assert(c(70) === c(129))
+  }
+
   test("WL distinguishes a triangle from a path") {
     val tri = undirected(LocalGraph.fromEdges(Array.fill(3)("_"), Seq((0, 1), (1, 2), (2, 0))))
     val path = undirected(LocalGraph.fromEdges(Array.fill(3)("_"), Seq((0, 1), (1, 2))))

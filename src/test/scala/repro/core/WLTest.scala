@@ -11,17 +11,18 @@ import repro.graph.LocalGraph
 object WLTest {
 
   /** Converged WL colors for the disjoint union of g1 and g2 (undirected
-    * view); returns (colors over g1 ids, colors over g2 ids).
+    * view); returns (colors over g1 ids, colors over g2 ids). Refinement only
+    * splits classes, so the loop stops within n rounds, once the class count
+    * stops growing.
     */
-  def colors(g1: LocalGraph, g2: LocalGraph, maxRounds: Int = 64): (Array[Int], Array[Int]) = {
+  def colors(g1: LocalGraph, g2: LocalGraph): (Array[Int], Array[Int]) = {
     val g = g1.disjointUnion(g2)
     val adj = Array.tabulate(g.n)(g.undirectedNeighbors)
     val ids0 = collection.mutable.HashMap.empty[String, Int]
     var c = g.labels.map(l => ids0.getOrElseUpdate(l, ids0.size))
     var count = ids0.size
-    var round = 0
     var changed = true
-    while (changed && round < maxRounds) {
+    while (changed) {
       val ids = collection.mutable.HashMap.empty[(Int, Seq[Int]), Int]
       val next = Array.tabulate(g.n) { u =>
         val key = (c(u), adj(u).map(c).sorted.toSeq)
@@ -30,7 +31,6 @@ object WLTest {
       changed = ids.size != count
       count = ids.size
       c = next
-      round += 1
     }
     (c.take(g1.n), c.drop(g1.n))
   }

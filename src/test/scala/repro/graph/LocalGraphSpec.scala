@@ -43,6 +43,12 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.ball(1, 2).toSeq === Seq(0, 1, 2, 3))
   }
 
+  test("distances: undirected hops, -1 beyond the radius or unreachable") {
+    val p = LocalGraph.fromEdges(Array.fill(5)("x"), Seq((0, 1), (2, 1), (2, 3)))
+    assert(p.distances(0).toSeq === Seq(0, 1, 2, 3, -1))
+    assert(p.distances(0, radius = 2).toSeq === Seq(0, 1, 2, -1, -1))
+  }
+
   test("inducedSubgraph keeps internal edges and remaps ids") {
     val (sub, ids) = g.inducedSubgraph(Array(1, 2, 3))
     assert(ids.toSeq === Seq(1, 2, 3))
