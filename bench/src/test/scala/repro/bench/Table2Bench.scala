@@ -1,13 +1,12 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.core._
 import repro.exp.Table2
 
 /** Bench for Table 2: Figure-1 fractional χ-simulation scores, computed with
   * both engines, printed paper-vs-measured.
   */
-class Table2Bench extends SparkSpec {
+class Table2Bench extends BenchSpec {
 
   test("Table 2: exact check matrix and fractional scores (paper vs measured)") {
     val cells = Table2.compute()

@@ -1,12 +1,11 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.exp.Table4
 
 /** Bench for Table 4: statistics of the scaled synthetic dataset stand-ins,
   * computed with Spark SQL, printed next to the paper's originals.
   */
-class Table4Bench extends SparkSpec {
+class Table4Bench extends BenchSpec {
 
   test("Table 4: dataset statistics (paper vs scaled synthetic)") {
     val rows = Table4.compute(spark)

@@ -1,12 +1,11 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.exp.Table5
 
 /** Bench for Table 5: sensitivity of FSimχ to the initialization function —
   * Pearson correlations between L_I / L_E / L_J score vectors, all variants.
   */
-class Table5Bench extends SparkSpec {
+class Table5Bench extends BenchSpec {
 
   test("Table 5: Pearson correlations across initialization functions") {
     val rows = Table5.compute()

@@ -1,12 +1,11 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.exp.Table6
 
 /** Bench for Table 6: pattern-matching F1 across query scenarios on the
   * Amazon-like graph (paper §5.4 protocol, scaled per DESIGN.md).
   */
-class Table6Bench extends SparkSpec {
+class Table6Bench extends BenchSpec {
 
   test("Table 6: pattern-matching F1 by scenario (paper vs measured)") {
     val rows = Table6.compute()

@@ -1,13 +1,12 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.exp.Table78
 
 /** Bench for Tables 7 and 8: node-similarity case study on the DBIS-like
   * graph. FSim_bj runs on the Spark engine (largest FSim computation in the
   * suite); one shared `compute` feeds both tables.
   */
-class Table78Bench extends SparkSpec {
+class Table78Bench extends BenchSpec {
 
   private lazy val computed = Table78.compute(spark)
 

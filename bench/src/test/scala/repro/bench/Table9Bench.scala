@@ -1,13 +1,12 @@
 package repro.bench
 
-import repro.SparkSpec
 import repro.exp.Table9
 import repro.graph.RdfVersions
 
 /** Bench for Table 9: RDF graph-alignment F1 across versions. Every aligner,
   * the k-bisimulation baselines included, runs locally.
   */
-class Table9Bench extends SparkSpec {
+class Table9Bench extends BenchSpec {
 
   test("Table 9: alignment F1 (paper vs measured)") {
     val rows = Table9.compute()

@@ -80,17 +80,19 @@ object Bipartite {
     * columns are col(off(i) until off(i + 1)), in ascending order; each row
     * tries its columns in that order. Fills matchOf(0 until m) with each
     * column's matched row or -1, using visited(0 until m) as scratch, and
-    * returns the matching size.
+    * returns the matching size. Each row searches with a fresh visited set:
+    * row i stamps the columns it visits with i + 1, so visited is cleared
+    * once per call, not once per row.
     */
   def matching(rows: Int, off: Array[Int], col: Array[Int], m: Int,
-               matchOf: Array[Int], visited: Array[Boolean]): Int = {
-    def tryKuhn(i: Int): Boolean = {
+               matchOf: Array[Int], visited: Array[Int]): Int = {
+    def tryKuhn(i: Int, stamp: Int): Boolean = {
       var k = off(i)
       while (k < off(i + 1)) {
         val j = col(k)
-        if (!visited(j)) {
-          visited(j) = true
-          if (matchOf(j) < 0 || tryKuhn(matchOf(j))) { matchOf(j) = i; return true }
+        if (visited(j) != stamp) {
+          visited(j) = stamp
+          if (matchOf(j) < 0 || tryKuhn(matchOf(j), stamp)) { matchOf(j) = i; return true }
         }
         k += 1
       }
@@ -98,13 +100,11 @@ object Bipartite {
     }
 
     java.util.Arrays.fill(matchOf, 0, m, -1)
+    java.util.Arrays.fill(visited, 0, m, 0)
     var size = 0
     var i = 0
     while (i < rows) {
-      if (off(i) < off(i + 1)) {
-        java.util.Arrays.fill(visited, 0, m, false)
-        if (tryKuhn(i)) size += 1
-      }
+      if (off(i) < off(i + 1) && tryKuhn(i, i + 1)) size += 1
       i += 1
     }
     size
@@ -116,6 +116,6 @@ object Bipartite {
   def maxMatching(s1: Array[Int], s2: Array[Int], allowed: (Int, Int) => Boolean): Int = {
     val adj = s1.map(x => s2.indices.filter(j => allowed(x, s2(j))).toArray)
     val off = adj.scanLeft(0)(_ + _.length)
-    matching(s1.length, off, adj.flatten, s2.length, new Array[Int](s2.length), new Array[Boolean](s2.length))
+    matching(s1.length, off, adj.flatten, s2.length, new Array[Int](s2.length), new Array[Int](s2.length))
   }
 }

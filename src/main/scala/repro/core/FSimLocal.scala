@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import scala.collection.mutable
 
 /** Result of an FSimχ computation over (G1, G2), from either engine: the
   * converged scores of every maintained candidate pair, plus run metadata.
@@ -39,18 +38,20 @@ final class FSimResult(
 
   /** For each u, the argmax set {v : score(u,·) maximal} — the alignment
     * rule A_u of the paper's §5.4. Ties are kept with tolerance 1e-9 of the
-    * first score of the current best set, in ascending v.
+    * first score of the current best set, in ascending v. One scan over the
+    * u-sorted keys emits each u's set when it leaves u's row.
     */
   def argmaxByU(): Map[Int, Seq[Int]] = {
-    val best = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+    val out = Map.newBuilder[Int, Seq[Int]]
+    val best = List.newBuilder[Int]
     var max = 0.0
     for (i <- keys.indices) {
       val u = (keys(i) / n2).toInt; val v = (keys(i) % n2).toInt; val s = scores(i)
-      if (i == 0 || keys(i - 1) / n2 != u || s > max + 1e-9) {
-        max = s; best(u) = mutable.ArrayBuffer(v)
-      } else if (s >= max - 1e-9) best(u) += v
+      if (i == 0 || keys(i - 1) / n2 != u || s > max + 1e-9) { max = s; best.clear(); best += v }
+      else if (s >= max - 1e-9) best += v
+      if (i + 1 == keys.length || keys(i + 1) / n2 != u) out += u -> best.result()
     }
-    best.view.mapValues(_.toSeq).toMap
+    out.result()
   }
 }
 

@@ -30,6 +30,8 @@ object Variant {
   * primitive arrays and a caller-owned [[Scratch]], so it allocates nothing
   * once the scratch has grown to the largest block. Tie-breaking is
   * deterministic, so scores do not depend on how the pairs are distributed.
+  * The greedy mapping of dp/bj/RoleSim sorts only the cells its exact
+  * weight-1 pass left free, so all-weight-1 blocks (Eq. 6 at θ = 1) skip it.
   */
 object Matching {
 
@@ -40,8 +42,8 @@ object Matching {
     private[Matching] var best = new Array[Double](16)
     private[Matching] var usedA = new Array[Boolean](16)
     private[Matching] var onesOff = new Array[Int](17)
-    private[Matching] var usedB, visited = new Array[Boolean](16)
-    private[Matching] var matchOf = new Array[Int](16)
+    private[Matching] var usedB = new Array[Boolean](16)
+    private[Matching] var matchOf, visited = new Array[Int](16)
 
     /** The weight buffer, holding at least `cells` entries. Its contents
       * are undefined until the caller fills them.
@@ -63,7 +65,7 @@ object Matching {
       }
       if (usedB.length < n2) {
         val c = grow(usedB.length, n2)
-        usedB = new Array[Boolean](c); visited = new Array[Boolean](c); matchOf = new Array[Int](c)
+        usedB = new Array[Boolean](c); visited = new Array[Int](c); matchOf = new Array[Int](c)
       }
     }
 
@@ -158,6 +160,11 @@ object Matching {
     * for dp/bj. The sweep takes cells by weight desc, ties in (a, b) order,
     * whose endpoints are both free. Determinism matters — local and Spark
     * engines must agree.
+    *
+    * The sweep sorts only the cells whose row and column the exact pass left
+    * free; it would skip the others, and the stable sort keeps their order,
+    * so the sum is unchanged bit for bit. If no cell is left free, as when
+    * every cell weighs 1, the Kuhn count is the result.
     */
   private def greedyMatchSum(a: Array[Int], b: Array[Int], from: Int, len: Int,
                              w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
@@ -187,13 +194,19 @@ object Matching {
       }
     }
 
+    // only cells with both endpoints free can still be matched
     val order = s.order
-    k = 0
-    while (k < len) { order(k) = k; k += 1 }
-    sortByWeightDesc(order, s.tmp, len, w)
-    var sum = count.toDouble
+    var free = 0
     k = 0
     while (k < len) {
+      if (!usedA(a(from + k)) && !usedB(b(from + k))) { order(free) = k; free += 1 }
+      k += 1
+    }
+    if (free == 0) return count.toDouble
+    sortByWeightDesc(order, s.tmp, free, w)
+    var sum = count.toDouble
+    k = 0
+    while (k < free) {
       val c = order(k)
       val x = a(from + c); val y = b(from + c)
       if (!usedA(x) && !usedB(y)) { usedA(x) = true; usedB(y) = true; sum += w(c) }

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.exp.Table2
@@ -19,6 +22,32 @@ class ExactSimulationSpec extends AnyFunSuite {
     // interesting case 0-{a,b}, 1-{a}: naive 0->a blocks 1.
     val allowed = Map((0, 10) -> true, (0, 11) -> true, (1, 10) -> true).withDefaultValue(false)
     assert(Bipartite.maxMatching(Array(0, 1), Array(10, 11), (a, b) => allowed((a, b))) === 2)
+  }
+
+  test("bipartite matching: the whole matchOf equals Kuhn with a fresh visited set per row") {
+    // Greedy Mχ depends on which maximum matching Kuhn returns, not only on
+    // its size. One matchOf/visited pair serves every call, whatever its m,
+    // so a visited stamp left over from an earlier call would show.
+    val matchOf = new Array[Int](12); val visited = new Array[Int](12)
+    val csrGen = for {
+      rows <- Gen.choose(0, 10)
+      m <- Gen.choose(0, 12)
+      density <- Gen.oneOf(0.1, 0.3, 0.6, 1.0)
+      cells <- Gen.listOfN(rows * m, Gen.prob(density))
+    } yield (rows, m, Array.tabulate(rows)(i => (0 until m).filter(j => cells(i * m + j)).toArray))
+    val prop = Prop.forAll(csrGen) { case (rows, m, adj) =>
+      val size = Bipartite.matching(rows, adj.scanLeft(0)(_ + _.length), adj.flatten, m, matchOf, visited)
+      val want = Array.fill(m)(-1)
+      def tryKuhn(i: Int, seen: Array[Boolean]): Boolean = adj(i).exists { j =>
+        !seen(j) && { seen(j) = true; (want(j) < 0 || tryKuhn(want(j), seen)) && { want(j) = i; true } }
+      }
+      for (i <- 0 until rows) tryKuhn(i, new Array[Boolean](m))
+      size == want.count(_ >= 0) && matchOf.take(m).sameElements(want)
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 
   test("Figure 1 reconstruction reproduces the paper's Table 2 check matrix") {

@@ -34,6 +34,14 @@ object MatchingOracle {
     kernel(variant, pairs, (pairs.map(_.x) :+ -1).max + 1, (pairs.map(_.y) :+ -1).max + 1,
       new Matching.Scratch)
 
+  /** Cells whose x and y are both left unmatched by the exact weight-1 pass. */
+  def freeAfterOnes(pairs: Seq[Cand]): Int = {
+    val usedX = mutable.HashSet.empty[Int]
+    val usedY = mutable.HashSet.empty[Int]
+    matchOnes(pairs, usedX, usedY)
+    pairs.count(c => !usedX(c.x) && !usedY(c.y))
+  }
+
   private def sumMax(pairs: Seq[Cand], key: Cand => Int): Double = {
     val best = mutable.HashMap.empty[Int, Double]
     pairs.foreach { c =>

@@ -117,14 +117,17 @@ class MatchingSpec extends AnyFunSuite {
   private val sideGen: Gen[Int] = Gen.frequency(3 -> Gen.choose(0, 5), 1 -> Gen.choose(0, 40))
 
   /** An n1 × n2 block of cells at one of several densities, so empty rows,
-    * empty columns and empty blocks all occur.
+    * empty columns and empty blocks all occur. One block in ten has unit
+    * weights, as the Eq.-6 bound pass sees it at θ = 1.
     */
   private val blockGen: Gen[(Int, Int, Seq[Cand])] = for {
     n1 <- sideGen
     n2 <- sideGen
     density <- Gen.oneOf(0.05, 0.3, 0.7, 1.0)
     cells <- Gen.listOfN(n1 * n2, Gen.zip(Gen.prob(density), weightGen))
-  } yield (n1, n2, for (((keep, w), i) <- cells.zipWithIndex if keep) yield Cand(i / n2, i % n2, w))
+    units <- Gen.prob(0.1)
+    ps = for (((keep, w), i) <- cells.zipWithIndex if keep) yield Cand(i / n2, i % n2, w)
+  } yield (n1, n2, if (units) unit(ps) else ps)
 
   private val variants = Variant.paper ++ Seq(Variant.SimRankCfg, Variant.RoleSimCfg)
 
@@ -147,8 +150,12 @@ class MatchingSpec extends AnyFunSuite {
     // one scratch for every block, run back to back, so stale state would show
     val scratch = new Matching.Scratch
     val cellCounts = scala.collection.mutable.Set[Int]()
+    var allOnes, partlyFree = 0
     val prop = Prop.forAll(blockGen) { case (n1, n2, ps) =>
       cellCounts += ps.size
+      if (ps.size >= 2 && ps.forall(_.w >= 1.0 - 1e-9)) allOnes += 1
+      val free = MatchingOracle.freeAfterOnes(ps)
+      if (free > 0 && free < ps.size) partlyFree += 1
       variants.forall { v =>
         val got = MatchingOracle.kernel(v, ps, n1, n2, scratch)
         val want = MatchingOracle.mapRaw(v, ps)
@@ -162,5 +169,10 @@ class MatchingSpec extends AnyFunSuite {
     assert(result.passed, Pretty.pretty(result))
     // the kernel returns early for these, so the generator must draw them
     assert(cellCounts(0) && cellCounts(1), "no block of 0 or 1 cells drawn")
+    // the greedy kernel returns the Kuhn count when no cell is left free,
+    // and sorts a strict subset of the cells when some are
+    assert(allOnes > 0, "no block of two or more weight-1 cells drawn")
+    assert(partlyFree > 0, "no block the weight-1 pass leaves partly free")
+    info(s"blocks of >= 2 weight-1 cells: $allOnes; left partly free: $partlyFree")
   }
 }
