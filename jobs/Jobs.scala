@@ -4,13 +4,14 @@ import org.apache.spark.sql.SparkSession
 import repro.exp._
 
 /** spark-submit entrypoints, one per reproduced table. Each prints the
-  * paper-vs-measured table to stdout. Example:
+  * paper-vs-measured table to stdout. Tables 4, 7 and 8 run Spark jobs and
+  * start a session; the others compute locally. Example:
   *
   *   spark-submit --class repro.jobs.Table7Job target/scala-2.13/repro_2.13-*.jar
   */
 object Jobs {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -24,10 +25,12 @@ object Jobs {
   }
 }
 
-object Table2Job { def main(args: Array[String]): Unit = Jobs.run("table2")(Table2.main0) }
-object Table4Job { def main(args: Array[String]): Unit = Jobs.run("table4")(Table4.main0) }
-object Table5Job { def main(args: Array[String]): Unit = Jobs.run("table5")(Table5.main0) }
-object Table6Job { def main(args: Array[String]): Unit = Jobs.run("table6")(Table6.main0) }
+object Table2Job { def main(args: Array[String]): Unit = println(Table2.render(Table2.compute())) }
+object Table4Job {
+  def main(args: Array[String]): Unit = Jobs.run("table4")(spark => Table4.render(Table4.compute(spark)))
+}
+object Table5Job { def main(args: Array[String]): Unit = println(Table5.render(Table5.compute())) }
+object Table6Job { def main(args: Array[String]): Unit = println(Table6.render(Table6.compute())) }
 object Table7Job {
   def main(args: Array[String]): Unit = Jobs.run("table7") { spark =>
     Table78.renderTable7(Table78.table7(Table78.compute(spark)))
@@ -38,4 +41,4 @@ object Table8Job {
     Table78.renderTable8(Table78.table8(Table78.compute(spark)))
   }
 }
-object Table9Job { def main(args: Array[String]): Unit = Jobs.run("table9")(Table9.main0) }
+object Table9Job { def main(args: Array[String]): Unit = println(Table9.render(Table9.compute())) }

@@ -2,7 +2,7 @@ package repro.core
 
 /** Upper-bound updating (paper §3.4): candidate pairs whose Eq.-6 upper
   * bound is below `beta` are not maintained; a pruned pair's score is fixed
-  * at `alpha * upperBound`, which is what any mapping that needs it reads,
+  * at `alpha` times that bound, which is what any mapping that needs it reads,
   * and the result leaves it out. Both lie in [0, 1]. Paper defaults after
   * the sensitivity study: α = 0, β = 0.5.
   */

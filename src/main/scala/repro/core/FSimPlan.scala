@@ -9,8 +9,9 @@ import FSimPlan.{MaxIters, PairCost, inParallel, localRanges}
   * the Eq.-3 update over a pair range [[sweep]] and the fixpoint loop
   * [[converge]]. Both engines run a plan and cut each iteration into the
   * cost-balanced pair ranges of [[cuts]]; they differ only in where the
-  * ranges run. The Eq.-6 bound [[upperBound]] is the same update with every
-  * eligible neighbour score set to 1. Serializable so that the Spark engine
+  * ranges run. The Eq.-6 bound FSim̄χ(u, v) ≥ FSimχ(u, v) is the same update
+  * with every eligible neighbour score set to 1 ([[sweep]] with no previous
+  * scores), so each side is |Mχ|/Ωχ. Serializable so that the Spark engine
   * can broadcast it.
   *
   * The plan stores, per pair of H_c and side (out, then in), the eligible
@@ -247,18 +248,6 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       j += 1
     }
     c
-  }
-
-  /** Eq. 6 for a candidate pair: the bound FSim̄χ(u, v) ≥ FSimχ(u, v),
-    * i.e. Eq. 3 with every eligible neighbour score at its maximum 1, so
-    * each side is |Mχ|/Ωχ.
-    */
-  def upperBound(u: Int, v: Int): Double = {
-    val idx = java.util.Arrays.binarySearch(keys, u.toLong * n2 + v)
-    require(idx >= 0, s"($u, $v) is not a candidate pair")
-    val out = new Array[Double](1)
-    sweep(null, out, idx, idx + 1, 0)
-    out(0)
   }
 
   /** The fixpoint loop of Algorithm 1, from FSim⁰ until max |Δ| < ε (or for

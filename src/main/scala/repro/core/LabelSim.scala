@@ -97,6 +97,4 @@ object LabelSim {
       (matches.toDouble / n + matches.toDouble / m + (matches - t) / matches) / 3.0
     }
   }
-
-  val all: Seq[LabelSim] = Seq(Indicator, EditDistance, JaroWinkler)
 }

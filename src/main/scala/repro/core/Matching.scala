@@ -161,10 +161,11 @@ object Matching {
     * whose endpoints are both free. Determinism matters — local and Spark
     * engines must agree.
     *
-    * The sweep sorts only the cells whose row and column the exact pass left
-    * free; it would skip the others, and the stable sort keeps their order,
-    * so the sum is unchanged bit for bit. If no cell is left free, as when
-    * every cell weighs 1, the Kuhn count is the result.
+    * The sweep sorts only the cells of weight > 0 whose row and column the
+    * exact pass left free; it would skip the other cells, the stable sort
+    * keeps their order, and weight-0 cells sort last and add +0.0, so the
+    * sum is unchanged bit for bit. If no cell is left, as when every cell
+    * weighs 1, the Kuhn count is the result.
     */
   private def greedyMatchSum(a: Array[Int], b: Array[Int], from: Int, len: Int,
                              w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
@@ -194,12 +195,13 @@ object Matching {
       }
     }
 
-    // only cells with both endpoints free can still be matched
+    // only cells with both endpoints free can still be matched, and only
+    // those of weight > 0 can add to the sum
     val order = s.order
     var free = 0
     k = 0
     while (k < len) {
-      if (!usedA(a(from + k)) && !usedB(b(from + k))) { order(free) = k; free += 1 }
+      if (w(k) > 0 && !usedA(a(from + k)) && !usedB(b(from + k))) { order(free) = k; free += 1 }
       k += 1
     }
     if (free == 0) return count.toDouble

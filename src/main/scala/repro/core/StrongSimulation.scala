@@ -15,41 +15,32 @@ object StrongSimulation {
     */
   final case class Match(center: Int, matches: Array[Array[Int]])
 
-  /** Find strong-simulation matches of `query` in `data`. Candidate centers
-    * are restricted to nodes that survive a global dual simulation first
-    * (Ma et al.'s optimization), then each ball is checked. Returns matches
-    * for all valid centers (callers typically take the first / smallest).
+  /** Centers tried per query: the first candidates in ascending id. */
+  private final val MaxCenters = 300
+
+  /** The strong-simulation match of `query` in `data` at the smallest valid
+    * center, if any. Candidate centers are restricted to nodes that survive
+    * a global dual simulation first (Ma et al.'s optimization), then each
+    * ball is checked.
     */
-  def matches(query: LocalGraph, data: LocalGraph, maxResults: Int = 4,
-              maxCenters: Int = 300): Seq[Match] = {
+  def firstMatch(query: LocalGraph, data: LocalGraph): Option[Match] = {
     val global = ExactSimulation.relation(query, data, Variant.S)
     // candidate centers: any data node simulating some query node globally
     val candidateCenters = {
       val bs = new java.util.BitSet(data.n)
       global.foreach(row => bs.or(row))
-      Iterator.iterate(bs.nextSetBit(0))(i => bs.nextSetBit(i + 1)).takeWhile(_ >= 0)
-        .take(maxCenters).toArray
+      bs.stream().limit(MaxCenters).toArray
     }
     val delta = math.max(1, query.diameter)
-    val out = collection.mutable.ArrayBuffer[Match]()
-    var ci = 0
-    while (ci < candidateCenters.length && out.size < maxResults) {
-      val v = candidateCenters(ci)
+    candidateCenters.iterator.flatMap { v =>
       val ballNodes = data.ball(v, delta)
       val (ballG, origIds) = data.inducedSubgraph(ballNodes)
       val r = ExactSimulation.relation(query, ballG, Variant.S)
       val allCovered = r.forall(row => !row.isEmpty)
       val vLocal = java.util.Arrays.binarySearch(origIds, v)
       val vInImage = vLocal >= 0 && r.exists(_.get(vLocal))
-      if (allCovered && vInImage) {
-        val m = r.map { row =>
-          Iterator.iterate(row.nextSetBit(0))(i => row.nextSetBit(i + 1))
-            .takeWhile(_ >= 0).map(origIds).toArray
-        }
-        out += Match(v, m)
-      }
-      ci += 1
-    }
-    out.toSeq
+      if (allCovered && vInImage) Some(Match(v, r.map(_.stream().map(origIds(_)).toArray)))
+      else None
+    }.nextOption()
   }
 }

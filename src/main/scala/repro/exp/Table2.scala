@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.LocalGraph
 
@@ -77,6 +76,4 @@ object Table2 {
     }
     sb.toString
   }
-
-  def main0(spark: SparkSession): String = render(compute())
 }

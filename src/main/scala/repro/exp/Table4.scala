@@ -46,6 +46,4 @@ object Table4 {
     }
     sb.toString
   }
-
-  def main0(spark: SparkSession): String = render(compute(spark))
 }

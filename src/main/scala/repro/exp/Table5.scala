@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.{GraphGen, LocalGraph}
 import repro.util.Stats
@@ -57,6 +56,4 @@ object Table5 {
     }
     sb.toString
   }
-
-  def main0(spark: SparkSession): String = render(compute())
 }

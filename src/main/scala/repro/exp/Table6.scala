@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core.Variant
 import repro.graph.{GraphGen, LocalGraph}
 import repro.matching._
@@ -65,18 +64,21 @@ object Table6 {
     (q, truth)
   }
 
-  def compute(dataNodes: Int = 6000, queriesPerScenario: Int = 15,
-              seed: Long = 99L): Seq[Row] = {
-    val data = GraphGen.amazonLike(dataNodes)
+  private final val DataNodes = 6000
+  private final val QueriesPerScenario = 15
+  private final val Seed = 99L
+
+  def compute(): Seq[Row] = {
+    val data = GraphGen.amazonLike(DataNodes)
     val ms = matchers()
     for (scenario <- scenarios; m <- ms) yield {
-      val rnd = new Random(seed) // same queries for every matcher
+      val rnd = new Random(Seed) // same queries for every matcher
       var sum = 0.0
-      for (_ <- 0 until queriesPerScenario) {
+      for (_ <- 0 until QueriesPerScenario) {
         val (q, truth) = makeQuery(data, scenario, rnd)
         sum += Matcher.f1(truth, m.matchQuery(q, data))
       }
-      Row(scenario, m.name, 100.0 * sum / queriesPerScenario)
+      Row(scenario, m.name, 100.0 * sum / QueriesPerScenario)
     }
   }
 
@@ -96,6 +98,4 @@ object Table6 {
     }
     sb.toString
   }
-
-  def main0(spark: SparkSession): String = render(compute())
 }

@@ -109,9 +109,4 @@ object Table78 {
       sb.append(f"${r.measure}%-10s${paperTable8(r.measure)}%.3f / ${r.ndcg}%.3f\n")
     sb.toString
   }
-
-  def main0(spark: SparkSession): String = {
-    val c = compute(spark)
-    renderTable7(table7(c)) + "\n" + renderTable8(table8(c))
-  }
 }

@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.align._
 import repro.core._
 import repro.graph.{LocalGraph, RdfVersions}
@@ -39,8 +38,8 @@ object Table9 {
     new FSimAligner(Variant.B),
     new FSimAligner(Variant.BJ))
 
-  def compute(n3: Int = 1500): Seq[Row] = {
-    val vs = RdfVersions.generate(n3 = n3)
+  def compute(): Seq[Row] = {
+    val vs = RdfVersions.generate(n3 = 1500)
     val pairs = Seq("G1-G2" -> (vs.g1, vs.g2), "G1-G3" -> (vs.g1, vs.g3))
     for ((pname, (a, b)) <- pairs; al <- aligners) yield {
       Row(pname, al.name, 100.0 * Aligner.f1Identity(a, al.align(a, b)))
@@ -53,11 +52,7 @@ object Table9 {
     */
   def exactBisimF1(g1: LocalGraph, g2: LocalGraph): Double = {
     val r = ExactSimulation.relation(g1, g2, Variant.B)
-    val res = (0 until g1.n).map { u =>
-      val row = r(u)
-      u -> Iterator.iterate(row.nextSetBit(0))(i => row.nextSetBit(i + 1))
-        .takeWhile(_ >= 0).toSeq
-    }.toMap
+    val res = (0 until g1.n).map(u => u -> r(u).stream().toArray.toSeq).toMap
     100.0 * Aligner.f1Identity(g1, res)
   }
 
@@ -75,6 +70,4 @@ object Table9 {
     }
     sb.toString
   }
-
-  def main0(spark: SparkSession): String = render(compute())
 }

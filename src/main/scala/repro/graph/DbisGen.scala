@@ -66,7 +66,7 @@ object DbisGen {
     * @param authorsPerArea  authors in each area community
     * @param papersPerVenue  average papers per venue (tier-1 venues get 1.5x)
     */
-  def generate(authorsPerArea: Int = 70, papersPerVenue: Int = 22, seed: Long = 11L): Dbis = {
+  def generate(authorsPerArea: Int, papersPerVenue: Int, seed: Long = 11L): Dbis = {
     val rnd = new Random(seed)
     val dupNames = Seq("WWW_1", "WWW_2", "WWW_3")
     val allVenues: Seq[(String, String, Int, Option[String])] =
@@ -99,8 +99,6 @@ object DbisGen {
     val wwwCore = rnd.shuffle(webAuthors).take(math.max(8, webAuthors.size / 3))
 
     val edges = mutable.ArrayBuffer[(Int, Int)]()
-    var pIdx = 0
-    val papers = mutable.ArrayBuffer[Int]() // paper node offsets assigned later
 
     final case class PaperSpec(venue: Int, authors: Seq[Int])
     val paperSpecs = mutable.ArrayBuffer[PaperSpec]()

@@ -38,12 +38,6 @@ object GraphGen {
     Config("ACMCit", 1462947 / 500, 9671895 / 500, 144, 0.9)
   )
 
-  def datasetLike(name: String, seed: Long = 42L): LocalGraph = {
-    val cfg = datasets.find(_.name == name).getOrElse(
-      throw new IllegalArgumentException(s"unknown dataset $name"))
-    generate(cfg, seed)
-  }
-
   /** Hierarchical string labels, NELL-style ("cat03:wordstem"), so that
     * edit-distance and Jaro-Winkler label similarity have real signal
     * (needed by the Table-5 sensitivity study). Stems are random words of
@@ -123,7 +117,7 @@ object GraphGen {
   /** Amazon-like co-purchase graph for the Table-6 pattern-matching study:
     * low, capped out-degree (paper: D⁺=5), moderate in-degree skew, 82 labels.
     */
-  def amazonLike(nodes: Int = 15000, seed: Long = 7L): LocalGraph = {
+  def amazonLike(nodes: Int, seed: Long = 7L): LocalGraph = {
     val rnd = new Random(seed)
     val sigma = flatAlphabet(82)
     val labels = Array.fill(nodes)(sigma(rnd.nextInt(sigma.length)))

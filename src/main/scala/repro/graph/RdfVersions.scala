@@ -26,11 +26,13 @@ object RdfVersions {
     IndexedSeq("Target", "Ligand", "Interaction", "Family", "Reference")
   val attrLabels: IndexedSeq[String] = IndexedSeq("ValueA", "ValueB", "ValueC")
 
+  private final val Seed = 23L
+
   /** @param n3 node count of the newest version G3; G2 keeps ~95.7%, G1 ~91.9%
     *           of nodes (the paper's 138651/144879 and 133195/144879 ratios).
     */
-  def generate(n3: Int = 1500, seed: Long = 23L): Versions = {
-    val rnd = new Random(seed)
+  def generate(n3: Int): Versions = {
+    val rnd = new Random(Seed)
     val nEntities = (n3 * 0.62).toInt
     val nAttrs = n3 - nEntities
 
@@ -81,8 +83,8 @@ object RdfVersions {
     }
 
     Versions(
-      g1 = version(133195.0 / 144879.0, churn = 0.035, vSeed = seed + 1),
-      g2 = version(138651.0 / 144879.0, churn = 0.02, vSeed = seed + 2),
+      g1 = version(133195.0 / 144879.0, churn = 0.035, vSeed = Seed + 1),
+      g2 = version(138651.0 / 144879.0, churn = 0.02, vSeed = Seed + 2),
       g3 = g3
     )
   }

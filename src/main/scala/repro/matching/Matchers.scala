@@ -181,8 +181,7 @@ final class GFinderMatcher extends SeedExpandMatcher {
 final class StrongSimMatcher extends Matcher {
   val name = "StrongSim"
   def matchQuery(query: LocalGraph, data: LocalGraph): Map[Int, Int] = {
-    val ms = StrongSimulation.matches(query, data, maxResults = 1)
-    ms.headOption match {
+    StrongSimulation.firstMatch(query, data) match {
       case None => Map.empty
       case Some(m) =>
         (0 until query.n).flatMap { q =>

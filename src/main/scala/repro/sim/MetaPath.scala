@@ -2,7 +2,7 @@ package repro.sim
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.graph.{DbisGen, LocalGraph}
+import repro.graph.DbisGen
 
 /** Meta-path machinery over the DBIS-like bibliographic graph (author →
   * paper → venue): the venue-author incidence counts and the V-P-A-P-V

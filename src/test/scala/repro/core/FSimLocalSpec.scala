@@ -164,14 +164,23 @@ class FSimLocalSpec extends AnyFunSuite {
     assert(maxErr < 0.5, s"maxErr=$maxErr")
   }
 
+  /** The Eq.-6 bound of a candidate pair (u, v), read from one bound pass
+    * over the whole plan, the pass that §3.4 pruning runs.
+    */
+  private def boundOf(plan: FSimPlan, n2: Int): (Int, Int) => Double = {
+    val bounds = new Array[Double](plan.size)
+    plan.sweep(null, bounds, 0, plan.size, 0)
+    (u, v) => bounds(java.util.Arrays.binarySearch(plan.keys, u.toLong * n2 + v))
+  }
+
   test("upper bound dominates the true score (Eq. 6)") {
     for (seed <- Seq(15, 17, 19); variant <- Variant.paper) {
       val g1 = TestGraphs.uniform(10, 20, 2, seed)
       val g2 = TestGraphs.uniform(10, 20, 2, seed + 1)
       val c = cfg(variant)
-      val plan = new FSimPlan(g1, g2, c)
+      val upperBound = boundOf(new FSimPlan(g1, g2, c), g2.n)
       for ((u, v, s) <- FSimLocal.compute(g1, g2, c).pairs) {
-        val bound = plan.upperBound(u, v)
+        val bound = upperBound(u, v)
         assert(s <= bound + 1e-9, s"χ=${variant.name} seed $seed ($u,$v): $s > $bound")
       }
     }
@@ -240,6 +249,27 @@ class FSimLocalSpec extends AnyFunSuite {
     val result = Test.check(params, prop)
     assert(result.passed, Pretty.pretty(result))
     assert(ones > 0, "no pair scores 1")
+  }
+
+  test("Eq. 6 soundness: every maintained score is at most its bound, with and without pruning") {
+    val drawn = collection.mutable.Set[(Variant, Double)]()
+    var checked = 0
+    val prop = Prop.forAll(ubCase) { case (g1, g2, c) =>
+      drawn += ((c.variant, c.theta))
+      val upperBound = boundOf(new FSimPlan(g1, g2, c), g2.n)
+      Seq(c, c.copy(ub = None)).forall { run =>
+        FSimLocal.compute(g1, g2, run).pairs.forall { case (u, v, s) =>
+          checked += 1
+          s <= upperBound(u, v) + 1e-9
+        }
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(drawn.size === 8, s"not every paper variant at θ = 0 and θ = 1: $drawn")
+    assert(checked > 0, "no maintained pair")
   }
 
   test("result lookup: unmaintained pairs score 0") {

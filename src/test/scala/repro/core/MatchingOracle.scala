@@ -35,11 +35,11 @@ object MatchingOracle {
       new Matching.Scratch)
 
   /** Cells whose x and y are both left unmatched by the exact weight-1 pass. */
-  def freeAfterOnes(pairs: Seq[Cand]): Int = {
+  def freeAfterOnes(pairs: Seq[Cand]): Seq[Cand] = {
     val usedX = mutable.HashSet.empty[Int]
     val usedY = mutable.HashSet.empty[Int]
     matchOnes(pairs, usedX, usedY)
-    pairs.count(c => !usedX(c.x) && !usedY(c.y))
+    pairs.filter(c => !usedX(c.x) && !usedY(c.y))
   }
 
   private def sumMax(pairs: Seq[Cand], key: Cand => Int): Double = {

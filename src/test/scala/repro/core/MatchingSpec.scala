@@ -150,12 +150,13 @@ class MatchingSpec extends AnyFunSuite {
     // one scratch for every block, run back to back, so stale state would show
     val scratch = new Matching.Scratch
     val cellCounts = scala.collection.mutable.Set[Int]()
-    var allOnes, partlyFree = 0
+    var allOnes, partlyFree, zeroFree = 0
     val prop = Prop.forAll(blockGen) { case (n1, n2, ps) =>
       cellCounts += ps.size
       if (ps.size >= 2 && ps.forall(_.w >= 1.0 - 1e-9)) allOnes += 1
       val free = MatchingOracle.freeAfterOnes(ps)
-      if (free > 0 && free < ps.size) partlyFree += 1
+      if (free.nonEmpty && free.size < ps.size) partlyFree += 1
+      if (free.exists(_.w == 0.0)) zeroFree += 1
       variants.forall { v =>
         val got = MatchingOracle.kernel(v, ps, n1, n2, scratch)
         val want = MatchingOracle.mapRaw(v, ps)
@@ -173,6 +174,9 @@ class MatchingSpec extends AnyFunSuite {
     // and sorts a strict subset of the cells when some are
     assert(allOnes > 0, "no block of two or more weight-1 cells drawn")
     assert(partlyFree > 0, "no block the weight-1 pass leaves partly free")
-    info(s"blocks of >= 2 weight-1 cells: $allOnes; left partly free: $partlyFree")
+    // the greedy sweep drops free cells of weight 0
+    assert(zeroFree > 0, "no block the weight-1 pass leaves a weight-0 cell free")
+    info(s"blocks of >= 2 weight-1 cells: $allOnes; left partly free: $partlyFree; " +
+      s"with a free weight-0 cell: $zeroFree")
   }
 }

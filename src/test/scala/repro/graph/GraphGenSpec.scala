@@ -6,7 +6,7 @@ class GraphGenSpec extends AnyFunSuite {
 
   for (cfg <- GraphGen.datasets) {
     test(s"datasetLike(${cfg.name}): node/edge/label counts near configured shape") {
-      val g = GraphGen.datasetLike(cfg.name)
+      val g = GraphGen.generate(cfg, 42L)
       assert(g.n === cfg.nodes)
       assert(g.m >= cfg.edges * 0.9, s"edges ${g.m} vs ${cfg.edges}")
       assert(g.m <= cfg.edges)
@@ -21,7 +21,7 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("skewed generation yields heavy-tailed degrees (JDK-like)") {
-    val g = GraphGen.datasetLike("JDK")
+    val g = GraphGen.generate(GraphGen.datasets.find(_.name == "JDK").get, 42L)
     assert(g.maxInDeg > 8 * g.avgDeg, s"maxIn=${g.maxInDeg} avg=${g.avgDeg}")
   }
 

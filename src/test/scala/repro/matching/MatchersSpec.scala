@@ -63,7 +63,7 @@ class MatchersSpec extends AnyFunSuite {
   for (seed <- 1 to 3) {
     test(s"strong simulation finds a match for clean queries containing the truth, seed $seed") {
       val (q, truth) = cleanQuery(4, seed + 20)
-      val ms = StrongSimulation.matches(q, data, maxResults = 8, maxCenters = 2000)
+      val ms = StrongSimulation.firstMatch(q, data)
       assert(ms.nonEmpty, "clean extraction must be strong-simulated somewhere")
       // the ground-truth region itself must satisfy the conditions for some center
       val anyCovers = ms.exists(m => (0 until q.n).forall(i => m.matches(i).nonEmpty))
@@ -75,7 +75,7 @@ class MatchersSpec extends AnyFunSuite {
     val (q0, _) = cleanQuery(5, 31)
     val lbl = q0.labels.clone(); lbl(0) = "NO_SUCH_LABEL"
     val q = new repro.graph.LocalGraph(lbl, q0.outAdj, q0.inAdj)
-    assert(StrongSimulation.matches(q, data).isEmpty)
+    assert(StrongSimulation.firstMatch(q, data).isEmpty)
   }
 
   for (seed <- 1 to 3) {
