@@ -26,9 +26,18 @@ import FSimPlan.{MaxIters, PairCost, inParallel, localRanges}
   * the fixed score α·UB from FSim⁰ on, every sweep writes that score again,
   * and its neighbours read it like any other slot. Only [[converge]]'s
   * result drops the pruned pairs.
+  *
+  * On G1 = G2 (`g1 eq g2`), b, bj and RoleSim keep only the pairs u ≤ v
+  * (P3): a cell whose neighbour pair (x, y) has x > y reads the slot of
+  * (y, x), and the result mirrors the scores. This is exact: each sweep maps
+  * symmetric scores to symmetric scores bit for bit, the weight-1 pass
+  * because score-1 pairs form whole class blocks (DESIGN.md §6). SimRank
+  * adds its cells in (a, b) order, so it is symmetric only to ~1e-16 and
+  * keeps the full plan.
   */
 final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Serializable {
   private val n2 = g2.n
+  private val half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant)
 
   // --- label machinery: intern labels, precompute the |Σ1| x |Σ2| L matrix;
   // read only while the plan is built
@@ -54,8 +63,15 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     }
   }
 
+  /** Where row u's pairs start in eligible2(l1(u)): 0, or in a half plan at
+    * v = u, which is eligible since L(a, a) = 1 ≥ θ.
+    */
+  @transient private val firstCol: Array[Int] =
+    Array.tabulate(g1.n)(u => if (half) java.util.Arrays.binarySearch(eligible2(l1(u)), u) else 0)
+
   /** The index of each u's first key in [[keys]] (g1.n + 1 entries). */
-  @transient private val rowStart: Array[Int] = offsets(l1.map(eligible2(_).length))
+  @transient private val rowStart: Array[Int] =
+    offsets(Array.tabulate(g1.n)(u => eligible2(l1(u)).length - firstCol(u)))
 
   /** Sorted keys u*n2+v of the candidate pairs H_c (L ≥ θ): slot p of the
     * score vector is pair keys(p).
@@ -63,8 +79,8 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   val keys: Array[Long] = new Array[Long](rowStart(g1.n))
   parallel(g1.n) { u => // sorted: u asc, v asc by construction
     val vs = eligible2(l1(u))
-    var i = 0
-    while (i < vs.length) { keys(rowStart(u) + i) = u.toLong * n2 + vs(i); i += 1 }
+    var i = firstCol(u)
+    while (i < vs.length) { keys(rowStart(u) + i - firstCol(u)) = u.toLong * n2 + vs(i); i += 1 }
   }
 
   /** Number of candidate pairs |H_c|, the length of the score vector. */
@@ -90,7 +106,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   /** The eligible cells of s1 × s2, in (a, b) order: counted when `fill` is
     * false, else also written from cell `at`, with src the slot of the
     * cell's neighbour pair (every eligible neighbour pair is itself a
-    * candidate). Returns the count.
+    * candidate), or of its mirror in a half plan. Returns the count.
     */
   private def sideCells(s1: Array[Int], s2: Array[Int], fill: Boolean, at: Int): Int = {
     var c = at
@@ -103,9 +119,14 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       while (b < s2.length) {
         if (row(l2(s2(b))) >= cfg.theta) {
           if (fill) {
-            // b ascends within a row, so each search starts at the last hit
-            lo = java.util.Arrays.binarySearch(keys, lo, rowStart(x + 1), x.toLong * n2 + s2(b))
-            cellA(c) = a; cellB(c) = b; src(c) = lo
+            val y = s2(b)
+            if (half && y < x) // the mirror (y, x), in row y
+              src(c) = java.util.Arrays.binarySearch(keys, rowStart(y), rowStart(y + 1), y.toLong * n2 + x)
+            else { // y ascends within a row, so each search starts at the last hit
+              lo = java.util.Arrays.binarySearch(keys, lo, rowStart(x + 1), x.toLong * n2 + y)
+              src(c) = lo
+            }
+            cellA(c) = a; cellB(c) = b
           }
           c += 1
         }
@@ -282,11 +303,38 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       if (cfg.exactIters.isEmpty && delta < cfg.epsilon) done = true
     }
 
-    if (fixed == null) new FSimResult(n2, keys, prev, iter, delta)
-    else {
-      val kept = Array.range(0, size).filter(maintained)
-      new FSimResult(n2, kept.map(keys(_)), kept.map(prev(_)), iter, delta)
+    result(prev, iter, delta)
+  }
+
+  /** The maintained pairs and their scores in key order. A half plan's
+    * pair (u, v), u < v, also gives (v, u): row r holds its mirrored pairs
+    * (r, u < r) in u order, then its own, so one pass over [[keys]] alone,
+    * with two cursors per row, places both.
+    */
+  private def result(scores: Array[Double], iter: Int, delta: Double): FSimResult = {
+    if (!half && fixed == null) return new FSimResult(n2, keys, scores, iter, delta)
+    val mirrored, own = new Array[Int](g1.n)
+    var p = 0
+    while (p < size) {
+      if (maintained(p)) {
+        own((keys(p) / n2).toInt) += 1
+        if (half && keys(p) / n2 < keys(p) % n2) mirrored((keys(p) % n2).toInt) += 1
+      }
+      p += 1
     }
+    val next = offsets(Array.tabulate(g1.n)(r => mirrored(r) + own(r))) // mirrored pairs first
+    val nextOwn = Array.tabulate(g1.n)(r => next(r) + mirrored(r))
+    val all = new Array[Long](next(g1.n)); val out = new Array[Double](next(g1.n))
+    p = 0
+    while (p < size) {
+      if (maintained(p)) {
+        val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
+        all(nextOwn(u)) = keys(p); out(nextOwn(u)) = scores(p); nextOwn(u) += 1
+        if (half && u < v) { all(next(v)) = v.toLong * n2 + u; out(next(v)) = scores(p); next(v) += 1 }
+      }
+      p += 1
+    }
+    new FSimResult(n2, all, out, iter, delta)
   }
 
   /** Sets the maintained diagonal pairs to 1. */

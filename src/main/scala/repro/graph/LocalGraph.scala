@@ -30,15 +30,6 @@ final class LocalGraph(
   /** Distinct labels of the graph (Σ). */
   lazy val labelSet: Set[String] = labels.toSet
 
-  /** Maximum out-degree D⁺ (0 for the empty graph). */
-  def maxOutDeg: Int = if (n == 0) 0 else (0 until n).map(outDeg).max
-
-  /** Maximum in-degree D⁻ (0 for the empty graph). */
-  def maxInDeg: Int = if (n == 0) 0 else (0 until n).map(inDeg).max
-
-  /** Average (total) degree m/n rounded as in the paper's Table 4. */
-  def avgDeg: Double = if (n == 0) 0.0 else m.toDouble / n
-
   /** All edges as (src, dst) pairs. */
   def edges: Iterator[(Int, Int)] =
     (0 until n).iterator.flatMap(u => outAdj(u).iterator.map(v => (u, v)))

@@ -165,12 +165,14 @@ class FSimLocalSpec extends AnyFunSuite {
   }
 
   /** The Eq.-6 bound of a candidate pair (u, v), read from one bound pass
-    * over the whole plan, the pass that §3.4 pruning runs.
+    * over the whole plan, the pass that §3.4 pruning runs. A half plan
+    * (G1 = G2, b or bj) holds (v, u) when it does not hold (u, v).
     */
   private def boundOf(plan: FSimPlan, n2: Int): (Int, Int) => Double = {
     val bounds = new Array[Double](plan.size)
     plan.sweep(null, bounds, 0, plan.size, 0)
-    (u, v) => bounds(java.util.Arrays.binarySearch(plan.keys, u.toLong * n2 + v))
+    def slot(u: Int, v: Int) = java.util.Arrays.binarySearch(plan.keys, u.toLong * n2 + v)
+    (u, v) => bounds(if (slot(u, v) >= 0) slot(u, v) else slot(v, u))
   }
 
   test("upper bound dominates the true score (Eq. 6)") {

@@ -25,9 +25,9 @@ class LocalGraphSpec extends AnyFunSuite {
   test("degree and label statistics") {
     assert(g.n === 4)
     assert(g.labelSet === Set("a", "b", "c"))
-    assert(g.maxOutDeg === 1)
-    assert(g.maxInDeg === 1)
-    assert(math.abs(g.avgDeg - 0.75) < 1e-12)
+    assert((0 until g.n).map(g.outDeg).max === 1)
+    assert((0 until g.n).map(g.inDeg).max === 1)
+    assert(math.abs(g.m.toDouble / g.n - 0.75) < 1e-12)
   }
 
   test("hasEdge") {
@@ -109,6 +109,6 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("empty graph edge cases") {
     val e = LocalGraph.fromEdges(Array.empty[String], Seq.empty)
-    assert(e.n === 0 && e.m === 0 && e.maxOutDeg === 0 && e.avgDeg === 0.0)
+    assert(e.n === 0 && e.m === 0 && e.outAdj.isEmpty && e.edges.isEmpty)
   }
 }
