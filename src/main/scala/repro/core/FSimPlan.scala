@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import scala.collection.mutable
 import FSimPlan.{MaxIters, PairCost, inParallel, localRanges}
 
 /** Algorithm 1 for one (G1, G2, cfg), prepared once: the label matrix, the
@@ -21,6 +20,11 @@ import FSimPlan.{MaxIters, PairCost, inParallel, localRanges}
   * arrays, in (a, b) order, and reads its weight from slot src(c) of the
   * score vector. That is 12 bytes per cell.
   *
+  * Under Remark 2's label constraint, H_c and every eligible neighbour pair
+  * are the same L ≥ θ pairs, so a slot is computed, not searched: [[slot]]
+  * (x, y) is row x's start in [[keys]] plus y's rank among the g2 nodes x's
+  * label may pair with. The ranks take |Σ1| × |V2| ints, broadcast too.
+  *
   * The score vector has one slot per pair of H_c. With upper-bound updating
   * (§3.4), a pair whose bound is below β is not maintained: its slot holds
   * the fixed score α·UB from FSim⁰ on, every sweep writes that score again,
@@ -39,11 +43,10 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   private val n2 = g2.n
   private val half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant)
 
-  // --- label machinery: intern labels, precompute the |Σ1| x |Σ2| L matrix;
-  // read only while the plan is built
+  // --- label machinery: intern labels, precompute the |Σ1| x |Σ2| L matrix
   @transient private val sigma1 = g1.labels.distinct
   @transient private val sigma2 = g2.labels.distinct
-  @transient private val l1 = g1.labels.map(sigma1.zipWithIndex.toMap)
+  private val l1 = g1.labels.map(sigma1.zipWithIndex.toMap)
   @transient private val l2 = g2.labels.map(sigma2.zipWithIndex.toMap)
   @transient private val lsim = Array.tabulate(sigma1.length, sigma2.length) { (a, b) =>
     cfg.labelSim(sigma1(a), sigma2(b))
@@ -52,25 +55,25 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   @transient private lazy val scratch: ThreadLocal[Matching.Scratch] =
     ThreadLocal.withInitial(() => new Matching.Scratch)
 
-  /** Per Σ1 label, the sorted g2 nodes it may pair with (L ≥ θ). */
-  @transient private val eligible2: Array[Array[Int]] = {
-    val byLabel2 = Array.fill(sigma2.length)(mutable.ArrayBuffer[Int]())
-    for (v <- 0 until n2) byLabel2(l2(v)) += v
-    Array.tabulate(sigma1.length) { a =>
-      val buf = mutable.ArrayBuffer[Int]()
-      for (b <- sigma2.indices if lsim(a)(b) >= cfg.theta) buf ++= byLabel2(b)
-      buf.toArray.sorted
-    }
+  /** Per Σ1 label, the g2 nodes it may pair with (L ≥ θ), ascending. */
+  private val eligible2: Array[Array[Int]] = Array.tabulate(sigma1.length) { a =>
+    java.util.stream.IntStream.range(0, n2).filter(y => lsim(a)(l2(y)) >= cfg.theta).toArray
+  }
+
+  /** rank2(a)(y): y's index in eligible2(a), or −1 if y is not eligible. */
+  private val rank2: Array[Array[Int]] = eligible2.map { vs =>
+    val rank = Array.fill(n2)(-1)
+    for (i <- vs.indices) rank(vs(i)) = i
+    rank
   }
 
   /** Where row u's pairs start in eligible2(l1(u)): 0, or in a half plan at
     * v = u, which is eligible since L(a, a) = 1 ≥ θ.
     */
-  @transient private val firstCol: Array[Int] =
-    Array.tabulate(g1.n)(u => if (half) java.util.Arrays.binarySearch(eligible2(l1(u)), u) else 0)
+  private val firstCol: Array[Int] = Array.tabulate(g1.n)(u => if (half) rank2(l1(u))(u) else 0)
 
   /** The index of each u's first key in [[keys]] (g1.n + 1 entries). */
-  @transient private val rowStart: Array[Int] =
+  private val rowStart: Array[Int] =
     offsets(Array.tabulate(g1.n)(u => eligible2(l1(u)).length - firstCol(u)))
 
   /** Sorted keys u*n2+v of the candidate pairs H_c (L ≥ θ): slot p of the
@@ -79,12 +82,16 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   val keys: Array[Long] = new Array[Long](rowStart(g1.n))
   parallel(g1.n) { u => // sorted: u asc, v asc by construction
     val vs = eligible2(l1(u))
-    var i = firstCol(u)
-    while (i < vs.length) { keys(rowStart(u) + i - firstCol(u)) = u.toLong * n2 + vs(i); i += 1 }
+    for (i <- firstCol(u) until vs.length) keys(rowStart(u) + i - firstCol(u)) = u.toLong * n2 + vs(i)
   }
 
   /** Number of candidate pairs |H_c|, the length of the score vector. */
   def size: Int = keys.length
+
+  /** The slot of the eligible pair (x, y); a half plan reads (y, x) when y < x. */
+  private def slot(x: Int, y: Int): Int =
+    if (half && y < x) rowStart(y) - firstCol(y) + rank2(l1(y))(x)
+    else rowStart(x) - firstCol(x) + rank2(l1(x))(y)
 
   private def parallel(n: Int)(body: Int => Unit): Unit =
     java.util.stream.IntStream.range(0, n).parallel().forEach(i => body(i))
@@ -104,30 +111,20 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   }
 
   /** The eligible cells of s1 × s2, in (a, b) order: counted when `fill` is
-    * false, else also written from cell `at`, with src the slot of the
+    * false, else also written from cell `at`, with src the [[slot]] of the
     * cell's neighbour pair (every eligible neighbour pair is itself a
-    * candidate), or of its mirror in a half plan. Returns the count.
+    * candidate). Returns the count.
     */
   private def sideCells(s1: Array[Int], s2: Array[Int], fill: Boolean, at: Int): Int = {
     var c = at
     var a = 0
     while (a < s1.length) {
       val x = s1(a)
-      val row = lsim(l1(x))
-      var lo = rowStart(x)
+      val rank = rank2(l1(x))
       var b = 0
       while (b < s2.length) {
-        if (row(l2(s2(b))) >= cfg.theta) {
-          if (fill) {
-            val y = s2(b)
-            if (half && y < x) // the mirror (y, x), in row y
-              src(c) = java.util.Arrays.binarySearch(keys, rowStart(y), rowStart(y + 1), y.toLong * n2 + x)
-            else { // y ascends within a row, so each search starts at the last hit
-              lo = java.util.Arrays.binarySearch(keys, lo, rowStart(x + 1), x.toLong * n2 + y)
-              src(c) = lo
-            }
-            cellA(c) = a; cellB(c) = b
-          }
+        if (rank(s2(b)) >= 0) {
+          if (fill) { src(c) = slot(x, s2(b)); cellA(c) = a; cellB(c) = b }
           c += 1
         }
         b += 1
@@ -189,8 +186,8 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   /** FSim⁰ of pair p: its fixed score if pruned; else L(u, v) for the
     * paper's variants, the identity for §4.3 SimRank (which also pins the
     * maintained diagonal), and min(d)/max(d) for §4.3 RoleSim, with d the
-    * out-degree, i.e. the undirected degree on
-    * [[SimRankRoleSim.undirectedView]].
+    * out-degree, i.e. the undirected degree on the §4.3 undirected view of
+    * the graph.
     */
   private def init(p: Int): Double = {
     val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
@@ -306,46 +303,32 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     result(prev, iter, delta)
   }
 
-  /** The maintained pairs and their scores in key order. A half plan's
-    * pair (u, v), u < v, also gives (v, u): row r holds its mirrored pairs
-    * (r, u < r) in u order, then its own, so one pass over [[keys]] alone,
-    * with two cursors per row, places both.
+  /** The maintained pairs and their scores in key order: each row x walks
+    * its whole eligible list and reads every pair's [[slot]], so a half
+    * plan's pair (u, v), u < v, also gives (v, u).
     */
   private def result(scores: Array[Double], iter: Int, delta: Double): FSimResult = {
     if (!half && fixed == null) return new FSimResult(n2, keys, scores, iter, delta)
-    val mirrored, own = new Array[Int](g1.n)
-    var p = 0
-    while (p < size) {
-      if (maintained(p)) {
-        own((keys(p) / n2).toInt) += 1
-        if (half && keys(p) / n2 < keys(p) % n2) mirrored((keys(p) % n2).toInt) += 1
+    val count = java.util.stream.IntStream.range(0, size).filter(maintained(_))
+      .map(p => if (half && keys(p) / n2 < keys(p) % n2) 2 else 1).sum
+    val all = new Array[Long](count); val out = new Array[Double](count)
+    var i = 0
+    for (x <- 0 until g1.n) {
+      val vs = eligible2(l1(x))
+      var k = 0
+      while (k < vs.length) {
+        val p = slot(x, vs(k))
+        if (maintained(p)) { all(i) = x.toLong * n2 + vs(k); out(i) = scores(p); i += 1 }
+        k += 1
       }
-      p += 1
-    }
-    val next = offsets(Array.tabulate(g1.n)(r => mirrored(r) + own(r))) // mirrored pairs first
-    val nextOwn = Array.tabulate(g1.n)(r => next(r) + mirrored(r))
-    val all = new Array[Long](next(g1.n)); val out = new Array[Double](next(g1.n))
-    p = 0
-    while (p < size) {
-      if (maintained(p)) {
-        val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
-        all(nextOwn(u)) = keys(p); out(nextOwn(u)) = scores(p); nextOwn(u) += 1
-        if (half && u < v) { all(next(v)) = v.toLong * n2 + u; out(next(v)) = scores(p); next(v) += 1 }
-      }
-      p += 1
     }
     new FSimResult(n2, all, out, iter, delta)
   }
 
   /** Sets the maintained diagonal pairs to 1. */
-  private def pin(scores: Array[Double]): Unit = {
-    var u = 0
-    while (u < math.min(g1.n, n2)) {
-      val slot = java.util.Arrays.binarySearch(keys, u.toLong * n2 + u)
-      if (slot >= 0 && maintained(slot)) scores(slot) = 1.0
-      u += 1
-    }
-  }
+  private def pin(scores: Array[Double]): Unit =
+    for (u <- 0 until math.min(g1.n, n2) if rank2(l1(u))(u) >= 0 && maintained(slot(u, u)))
+      scores(slot(u, u)) = 1.0
 }
 
 private object FSimPlan {

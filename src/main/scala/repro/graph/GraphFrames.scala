@@ -26,7 +26,7 @@ object GraphFrames {
     * [[LocalGraph]], validating them on the way. Node ids must be exactly
     * 0..n-1, each once, with non-null labels, and every edge endpoint must
     * be a node id; otherwise this throws IllegalArgumentException.
-    * Duplicate edges are dropped, as in [[LocalGraph.fromEdges]].
+    * Duplicate edges are dropped and counted, as in [[LocalGraph.fromEdges]].
     */
   def toLocal(nodes: DataFrame, edges: DataFrame): LocalGraph = {
     val rows = nodes.select("id", "label").collect()

@@ -11,11 +11,14 @@ import scala.util.Random
   * canonical form the Spark engine converts from/to via [[GraphFrames]].
   *
   * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays.
+  * `duplicateEdges` counts the repeated edges [[LocalGraph.fromEdges]]
+  * dropped; a graph not built from an edge list has 0.
   */
 final class LocalGraph(
     val labels: Array[String],
     val outAdj: Array[Array[Int]],
-    val inAdj: Array[Array[Int]]
+    val inAdj: Array[Array[Int]],
+    val duplicateEdges: Int = 0
 ) extends Serializable {
 
   /** Number of nodes. */
@@ -159,7 +162,8 @@ final class LocalGraph(
 object LocalGraph {
 
   /** Build from a label array and an edge list. Duplicate edges are dropped
-    * (the paper's graphs are simple digraphs); self-loops are kept. Throws
+    * (the paper's graphs are simple digraphs) and counted in
+    * `duplicateEdges`; self-loops are kept. Throws
     * IllegalArgumentException if an endpoint is not a node id 0..n-1.
     */
   def fromEdges(labels: Array[String], edges: Seq[(Int, Int)]): LocalGraph = {
@@ -171,6 +175,6 @@ object LocalGraph {
     val out = Array.fill(n)(mutable.ArrayBuffer[Int]())
     val in  = Array.fill(n)(mutable.ArrayBuffer[Int]())
     for ((u, v) <- dedup) { out(u) += v; in(v) += u }
-    new LocalGraph(labels, out.map(_.toArray.sorted), in.map(_.toArray.sorted))
+    new LocalGraph(labels, out.map(_.toArray.sorted), in.map(_.toArray.sorted), edges.length - dedup.length)
   }
 }

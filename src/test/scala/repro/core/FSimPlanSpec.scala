@@ -1,0 +1,162 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.{DbisGen, GraphGen, LocalGraph}
+import scala.util.Random
+
+/** The compiled plan itself: its arrays pinned by checksum, and its cells
+  * and slots against a brute-force enumeration of Remark 2's
+  * label-constrained mapping. The arrays are private, so a test-side helper
+  * reads them by reflection.
+  */
+class FSimPlanSpec extends AnyFunSuite {
+
+  /** The private field `name` of a plan (scalac may prefix it). */
+  private def field[T](plan: FSimPlan, name: String): T = {
+    val f = classOf[FSimPlan].getDeclaredFields
+      .find(f => f.getName == name || f.getName.endsWith("$$" + name))
+      .getOrElse(fail(s"FSimPlan has no field $name"))
+    f.setAccessible(true)
+    f.get(plan).asInstanceOf[T]
+  }
+
+  private def ints(plan: FSimPlan, name: String): Array[Int] = field[Array[Int]](plan, name)
+
+  /** One fold per plan array, in the order keys, off, cellA, cellB, src,
+    * label, fixed (doubles by their bits; a null `fixed` folds to 0).
+    */
+  private def checksums(plan: FSimPlan): Seq[Long] = {
+    def fold(xs: Iterator[Long]): Long = xs.foldLeft(17L)((h, x) => 31 * h + x)
+    def doubles(name: String): Long = Option(field[Array[Double]](plan, name))
+      .fold(0L)(a => fold(a.iterator.map(java.lang.Double.doubleToLongBits)))
+    Seq(fold(plan.keys.iterator)) ++
+      Seq("off", "cellA", "cellB", "src").map(n => fold(ints(plan, n).iterator.map(_.toLong))) ++
+      Seq(doubles("label"), doubles("fixed"))
+  }
+
+  private def cfg(v: Variant, theta: Double) = FSimConfig(v, wPlus = 0.4, wMinus = 0.4, theta = theta)
+
+  /** Category:stem labels. At θ = 0.5, L_E and L_J let cat:ab pair with
+    * cat:ba and dog:ab, and dog:xy with dog:ab, so eligible lists overlap
+    * without being equal.
+    */
+  private val Hierarchical = IndexedSeq("cat:ab", "cat:ba", "dog:ab", "dog:xy")
+
+  /** Per label of G1, the G2 nodes it may pair with (L ≥ θ). */
+  private def eligible(g1: LocalGraph, g2: LocalGraph, c: FSimConfig): Map[String, Set[Int]] =
+    g1.labels.distinct.map(a => a -> (0 until g2.n).filter(y => c.labelSim(a, g2.labels(y)) >= c.theta).toSet).toMap
+
+  private def overlapping(lists: Map[String, Set[Int]]): Boolean =
+    lists.values.toSeq.combinations(2).exists { case Seq(e, f) => e != f && (e & f).nonEmpty }
+
+  private lazy val dbis = DbisGen.generate(6, 3, 11L).graph
+  private lazy val gen = GraphGen.generate(GraphGen.Config("golden", 60, 240, 3, skew = 0.5), 5L)
+
+  // Recorded from the plan that located slots by binary search and mirrored
+  // a half plan's result with per-row cursors.
+  private val pinned: Seq[(String, () => FSimPlan, Int, Seq[Long])] = Seq(
+    ("bj, θ = 1, self-similarity (half plan)",
+      () => new FSimPlan(dbis, dbis, cfg(Variant.BJ, 1.0)), 13116,
+      Seq(-8342997061322645301L, 2529663674404308840L, -5941379853426649189L, -1320223282686128147L,
+        -6932638016603074461L, -1986928962656450415L, 0L)),
+    ("bj, θ = 1, self-similarity, UbConfig(0.2, 0.5)",
+      () => new FSimPlan(dbis, dbis, cfg(Variant.BJ, 1.0).copy(ub = Some(UbConfig(0.2, 0.5)))), 13116,
+      Seq(-8342997061322645301L, 2529663674404308840L, -5941379853426649189L, -1320223282686128147L,
+        -6932638016603074461L, -1986928962656450415L, -6701329453231084762L)),
+    ("s, θ = 0, Amazon-like query against an Amazon-like graph", { () =>
+      val data = GraphGen.amazonLike(600, 7L)
+      new FSimPlan(data.sampleConnectedSubgraph(8, new Random(99L))._1, data, cfg(Variant.S, 0.0))
+    }, 4800,
+      Seq(5502998200240304497L, -119242496875912919L, 5430069060367969573L, -7021394045644400051L,
+        -3076436558955416447L, -5976783772541343727L, 0L)),
+    ("dp, θ = 1, two GraphGen graphs", { () =>
+      val other = GraphGen.generate(GraphGen.Config("other", 50, 200, 3, skew = 0.5), 6L)
+      new FSimPlan(gen, other, cfg(Variant.DP, 1.0))
+    }, 1185,
+      Seq(1208126889347068563L, 1809387604605618493L, 2095372324072828707L, -6062305849947787104L,
+        -5834213478194361280L, -1064348351301118449L, 0L)),
+    ("bj, θ = 0.5, L_J on hierarchical labels (overlapping eligible lists)", { () =>
+      val h = new LocalGraph(Array.tabulate(gen.n)(u => Hierarchical(u % Hierarchical.length)), gen.outAdj, gen.inAdj)
+      val c = cfg(Variant.BJ, 0.5).copy(labelSim = LabelSim.JaroWinkler)
+      assert(overlapping(eligible(h, h, c)))
+      new FSimPlan(h, h, c)
+    }, 1380,
+      Seq(3559653011568414622L, 6914079000039321080L, -7582310069282464105L, 1613025591388822175L,
+        4679487682596122012L, -1192994000646887303L, 0L)),
+    ("SimRank configuration (full plan, pinned diagonal)",
+      () => new FSimPlan(gen, gen, SimRankRoleSim.simRankConfig()), 3600,
+      Seq(-3336890957056936679L, -6451125358844553457L, -9041904463928011961L, -4595538616116256923L,
+        -4570662236349007825L, 3095153780162690577L, 0L)))
+
+  for ((name, build, size, sums) <- pinned)
+    test(s"plan arrays are pinned: $name") {
+      val plan = build()
+      assert((plan.size, checksums(plan)) === ((size, sums)))
+    }
+
+  /** Two labelled digraphs of 1–10 nodes, with self-loops and isolated
+    * nodes, over 1–3 flat labels or the hierarchical ones; G2 is G1 (same
+    * object) half the time. Every variant, θ ∈ {0, 0.5, 1}, L_I, L_E or
+    * L_J, with and without UbConfig(0.2, 0.5).
+    */
+  private val planCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = {
+    def graph(sigma: Seq[String]) = for {
+      n <- Gen.choose(1, 10)
+      m <- Gen.choose(0, 3 * n)
+      edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+      labels <- Gen.listOfN(n, Gen.oneOf(sigma))
+    } yield LocalGraph.fromEdges(labels.toArray, edges)
+    for {
+      sigma <- Gen.oneOf(Seq("a"), Seq("a", "b"), Seq("a", "b", "c"), Hierarchical)
+      g1 <- graph(sigma)
+      g2 <- Gen.oneOf(Gen.const(g1), graph(sigma))
+      variant <- Gen.oneOf(Variant.paper ++ Seq(Variant.SimRankCfg, Variant.RoleSimCfg))
+      theta <- Gen.oneOf(0.0, 0.5, 1.0)
+      labelSim <- Gen.oneOf(LabelSim.Indicator, LabelSim.EditDistance, LabelSim.JaroWinkler)
+      ub <- Gen.oneOf(None, Some(UbConfig(alpha = 0.2, beta = 0.5)))
+    } yield {
+      val base = variant match {
+        case Variant.SimRankCfg => SimRankRoleSim.simRankConfig()
+        case Variant.RoleSimCfg => SimRankRoleSim.roleSimConfig()
+        case _ => cfg(variant, theta)
+      }
+      (g1, g2, base.copy(theta = theta, labelSim = labelSim, ub = ub))
+    }
+  }
+
+  test("compiled keys, cells and slots equal a brute-force enumeration of the L ≥ θ pairs") {
+    var halves, overlaps, empties = 0
+    val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
+      val plan = new FSimPlan(g1, g2, c)
+      val (off, cellA, cellB, src) = (ints(plan, "off"), ints(plan, "cellA"), ints(plan, "cellB"), ints(plan, "src"))
+      val n2 = g2.n
+      val half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(c.variant)
+      val lists = eligible(g1, g2, c)
+      if (half) halves += 1
+      if (overlapping(lists)) overlaps += 1
+      if (lists.values.exists(_.isEmpty)) empties += 1
+      def eligibleNodes(x: Int, y: Int) = c.labelSim(g1.labels(x), g2.labels(y)) >= c.theta
+      def key(x: Int, y: Int) = if (half && y < x) y.toLong * n2 + x else x.toLong * n2 + y
+      val keys = for (u <- 0 until g1.n; v <- 0 until n2 if eligibleNodes(u, v) && (!half || u <= v))
+        yield u.toLong * n2 + v
+      plan.keys.toSeq == keys && plan.keys.indices.forall { p =>
+        val (u, v) = ((plan.keys(p) / n2).toInt, (plan.keys(p) % n2).toInt)
+        Seq((g1.outAdj(u), g2.outAdj(v)), (g1.inAdj(u), g2.inAdj(v))).zipWithIndex.forall { case ((s1, s2), side) =>
+          val cells = off(2 * p + side) until off(2 * p + side + 1)
+          val want = for (a <- s1.indices; b <- s2.indices if eligibleNodes(s1(a), s2(b))) yield (a, b)
+          cells.map(k => (cellA(k), cellB(k))) == want &&
+            cells.forall(k => plan.keys(src(k)) == key(s1(cellA(k)), s2(cellB(k))))
+        }
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(halves > 0 && overlaps > 0 && empties > 0,
+      s"half plans: $halves, overlapping eligible lists: $overlaps, empty eligible lists: $empties")
+  }
+}

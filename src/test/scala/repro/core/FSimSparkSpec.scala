@@ -118,6 +118,7 @@ class FSimSparkSpec extends SparkSpec {
     val cfg = FSimConfig(Variant.BJ, 0.4, 0.4, exactIters = Some(5))
     val (a, b) = g1.edges.next()
     val edges1 = GraphFrames.edgesDF(spark, g1).union(Seq((a.toLong, b.toLong)).toDF("src", "dst"))
+    assert(GraphFrames.toLocal(GraphFrames.nodesDF(spark, g1), edges1).duplicateEdges === 1)
     assertAgree(FSimLocal.compute(g1, g2, cfg),
       FSimSpark.compute(spark, GraphFrames.nodesDF(spark, g1), edges1,
         GraphFrames.nodesDF(spark, g2), GraphFrames.edgesDF(spark, g2), cfg))

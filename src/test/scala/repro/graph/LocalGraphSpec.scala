@@ -15,6 +15,7 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.outAdj(0).toSeq === Seq(1))
     assert(g.inAdj(1).toSeq === Seq(0))
     assert(g.outDeg(1) === 1 && g.inDeg(1) === 1)
+    assert(g.duplicateEdges === 1)
   }
 
   test("fromEdges rejects edges with an endpoint outside 0..n-1") {
