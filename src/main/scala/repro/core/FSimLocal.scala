@@ -1,36 +1,39 @@
 package repro.core
 
 import repro.graph.LocalGraph
+import FSimPlan.maintained
 
 /** Result of an FSimχ computation over (G1, G2), from either engine: the
-  * converged scores of every maintained candidate pair, plus run metadata.
+  * plan's final score vector, read through the plan's [[PairIndex]], plus
+  * run metadata. Lookups reject u outside 0 until n1 and v outside 0 until n2.
   */
-final class FSimResult(
-    val n2: Int,
-    keys: Array[Long], // sorted keys u*n2+v of maintained pairs
+final class FSimResult private[core] (
+    index: PairIndex,
+    fixed: Array[Double], // null, or per slot NaN if maintained, else the pruned score α·UB
     scores: Array[Double],
     val iterations: Int,
     val finalDelta: Double
 ) extends Serializable {
 
-  /** Number of maintained candidate pairs |H|. */
-  def numPairs: Int = keys.length
-
   /** FSimχ(u, v); 0.0 for pairs not maintained (pruned by θ or by the upper
-    * bound — the paper's default α = 0 treats those as zero). Rejects u < 0
-    * and v outside 0 until n2, whose keys would alias other pairs.
+    * bound — the paper's default α = 0 treats those as zero).
     */
   def score(u: Int, v: Int): Double = {
-    require(u >= 0 && v >= 0 && v < n2, s"($u, $v) is outside the node ids of G1 x G2")
-    val i = java.util.Arrays.binarySearch(keys, u.toLong * n2 + v)
-    if (i >= 0) scores(i) else 0.0
+    require(u >= 0 && u < index.n1 && v >= 0 && v < index.n2, s"($u, $v) is outside the node ids of G1 x G2")
+    if (index.ranks(u)(v) < 0 || !maintained(fixed, index.slot(u, v))) 0.0 else scores(index.slot(u, v))
   }
 
-  /** Iterate maintained pairs as (u, v, score). */
+  /** The maintained pairs as (u, v, score), in (u, v) order: row u walks u's
+    * whole eligible list, so a half plan's pair (u, v) also gives (v, u).
+    */
   def pairs: Iterator[(Int, Int, Double)] =
-    keys.iterator.zip(scores.iterator).map { case (k, s) =>
-      ((k / n2).toInt, (k % n2).toInt, s)
+    Iterator.range(0, index.n1).flatMap { u =>
+      index.row(u).iterator.filter(v => maintained(fixed, index.slot(u, v)))
+        .map(v => (u, v, scores(index.slot(u, v))))
     }
+
+  /** Number of maintained candidate pairs |H|. */
+  def numPairs: Int = pairs.size
 
   /** Every maintained pair as (u, v) -> score, for small results. */
   def collectScores(): Map[(Long, Long), Double] =
@@ -38,21 +41,14 @@ final class FSimResult(
 
   /** For each u, the argmax set {v : score(u,·) maximal} — the alignment
     * rule A_u of the paper's §5.4. Ties are kept with tolerance 1e-9 of the
-    * first score of the current best set, in ascending v. One scan over the
-    * u-sorted keys emits each u's set when it leaves u's row.
+    * first score of the current best set, in ascending v.
     */
-  def argmaxByU(): Map[Int, Seq[Int]] = {
-    val out = Map.newBuilder[Int, Seq[Int]]
-    val best = List.newBuilder[Int]
-    var max = 0.0
-    for (i <- keys.indices) {
-      val u = (keys(i) / n2).toInt; val v = (keys(i) % n2).toInt; val s = scores(i)
-      if (i == 0 || keys(i - 1) / n2 != u || s > max + 1e-9) { max = s; best.clear(); best += v }
-      else if (s >= max - 1e-9) best += v
-      if (i + 1 == keys.length || keys(i + 1) / n2 != u) out += u -> best.result()
+  def argmaxByU(): Map[Int, Seq[Int]] =
+    pairs.toSeq.groupBy(_._1).map { case (u, row) =>
+      u -> row.tail.foldLeft((row.head._3, Vector(row.head._2))) { case ((max, best), (_, v, s)) =>
+        if (s > max + 1e-9) (s, Vector(v)) else if (s >= max - 1e-9) (max, best :+ v) else (max, best)
+      }._2
     }
-    out.result()
-  }
 }
 
 /** The multithreaded in-memory engine for Algorithm 1 (the paper's own

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import FSimPlan.{MaxIters, PairCost, inParallel, localRanges}
+import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, offsets}
 
 /** Algorithm 1 for one (G1, G2, cfg), prepared once: the label matrix, the
   * candidate pairs H_c, the compiled neighbour cells, the Eq.-6 pruning,
@@ -20,33 +20,25 @@ import FSimPlan.{MaxIters, PairCost, inParallel, localRanges}
   * arrays, in (a, b) order, and reads its weight from slot src(c) of the
   * score vector. That is 12 bytes per cell.
   *
-  * Under Remark 2's label constraint, H_c and every eligible neighbour pair
-  * are the same L ≥ θ pairs, so a slot is computed, not searched: [[slot]]
-  * (x, y) is row x's start in [[keys]] plus y's rank among the g2 nodes x's
-  * label may pair with. The ranks take |Σ1| × |V2| ints, broadcast too.
+  * The score vector has one slot per pair of H_c, laid out by the plan's
+  * [[PairIndex]]. With upper-bound updating (§3.4), a pair whose bound is
+  * below β is not maintained: its slot holds the fixed score α·UB from FSim⁰
+  * on, every sweep writes that score again, and its neighbours read it like
+  * any other slot. The [[FSimResult]] of [[converge]] skips the pruned pairs.
   *
-  * The score vector has one slot per pair of H_c. With upper-bound updating
-  * (§3.4), a pair whose bound is below β is not maintained: its slot holds
-  * the fixed score α·UB from FSim⁰ on, every sweep writes that score again,
-  * and its neighbours read it like any other slot. Only [[converge]]'s
-  * result drops the pruned pairs.
-  *
-  * On G1 = G2 (`g1 eq g2`), b, bj and RoleSim keep only the pairs u ≤ v
-  * (P3): a cell whose neighbour pair (x, y) has x > y reads the slot of
-  * (y, x), and the result mirrors the scores. This is exact: each sweep maps
-  * symmetric scores to symmetric scores bit for bit, the weight-1 pass
-  * because score-1 pairs form whole class blocks (DESIGN.md §6). SimRank
-  * adds its cells in (a, b) order, so it is symmetric only to ~1e-16 and
-  * keeps the full plan.
+  * On G1 = G2 (`g1 eq g2`), b, bj and RoleSim keep a half plan, the pairs
+  * u ≤ v (P3). This is exact: each sweep maps symmetric scores to symmetric
+  * scores bit for bit, the weight-1 pass because score-1 pairs form whole
+  * class blocks (DESIGN.md §6). SimRank adds its cells in (a, b) order, so
+  * it is symmetric only to ~1e-16 and keeps the full plan.
   */
 final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Serializable {
   private val n2 = g2.n
-  private val half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant)
 
   // --- label machinery: intern labels, precompute the |Σ1| x |Σ2| L matrix
   @transient private val sigma1 = g1.labels.distinct
   @transient private val sigma2 = g2.labels.distinct
-  private val l1 = g1.labels.map(sigma1.zipWithIndex.toMap)
+  @transient private val l1 = g1.labels.map(sigma1.zipWithIndex.toMap)
   @transient private val l2 = g2.labels.map(sigma2.zipWithIndex.toMap)
   @transient private val lsim = Array.tabulate(sigma1.length, sigma2.length) { (a, b) =>
     cfg.labelSim(sigma1(a), sigma2(b))
@@ -56,75 +48,43 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     ThreadLocal.withInitial(() => new Matching.Scratch)
 
   /** Per Σ1 label, the g2 nodes it may pair with (L ≥ θ), ascending. */
-  private val eligible2: Array[Array[Int]] = Array.tabulate(sigma1.length) { a =>
+  @transient private val eligible2: Array[Array[Int]] = Array.tabulate(sigma1.length) { a =>
     java.util.stream.IntStream.range(0, n2).filter(y => lsim(a)(l2(y)) >= cfg.theta).toArray
   }
 
-  /** rank2(a)(y): y's index in eligible2(a), or −1 if y is not eligible. */
-  private val rank2: Array[Array[Int]] = eligible2.map { vs =>
-    val rank = Array.fill(n2)(-1)
-    for (i <- vs.indices) rank(vs(i)) = i
-    rank
-  }
-
-  /** Where row u's pairs start in eligible2(l1(u)): 0, or in a half plan at
-    * v = u, which is eligible since L(a, a) = 1 ≥ θ.
-    */
-  private val firstCol: Array[Int] = Array.tabulate(g1.n)(u => if (half) rank2(l1(u))(u) else 0)
-
-  /** The index of each u's first key in [[keys]] (g1.n + 1 entries). */
-  private val rowStart: Array[Int] =
-    offsets(Array.tabulate(g1.n)(u => eligible2(l1(u)).length - firstCol(u)))
+  private val index = new PairIndex(l1, eligible2, n2,
+    half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant))
 
   /** Sorted keys u*n2+v of the candidate pairs H_c (L ≥ θ): slot p of the
     * score vector is pair keys(p).
     */
-  val keys: Array[Long] = new Array[Long](rowStart(g1.n))
-  parallel(g1.n) { u => // sorted: u asc, v asc by construction
-    val vs = eligible2(l1(u))
-    for (i <- firstCol(u) until vs.length) keys(rowStart(u) + i - firstCol(u)) = u.toLong * n2 + vs(i)
+  val keys: Array[Long] = new Array[Long](index.size)
+  parallel(g1.n) { u =>
+    val vs = index.row(u)
+    for (i <- vs.indices) if (!index.half || u <= vs(i)) keys(index.slot(u, vs(i))) = u.toLong * n2 + vs(i)
   }
 
   /** Number of candidate pairs |H_c|, the length of the score vector. */
   def size: Int = keys.length
 
-  /** The slot of the eligible pair (x, y); a half plan reads (y, x) when y < x. */
-  private def slot(x: Int, y: Int): Int =
-    if (half && y < x) rowStart(y) - firstCol(y) + rank2(l1(y))(x)
-    else rowStart(x) - firstCol(x) + rank2(l1(x))(y)
-
   private def parallel(n: Int)(body: Int => Unit): Unit =
     java.util.stream.IntStream.range(0, n).parallel().forEach(i => body(i))
 
-  /** CSR offsets from counts (of pairs per u, or of cells per pair side). */
-  private def offsets(counts: Array[Int]): Array[Int] = {
-    val off = new Array[Int](counts.length + 1)
-    var total = 0L
-    var i = 0
-    while (i < counts.length) {
-      total += counts(i)
-      require(total <= Int.MaxValue, s"plan exceeds ${Int.MaxValue} pairs or cells")
-      off(i + 1) = total.toInt
-      i += 1
-    }
-    off
-  }
-
   /** The eligible cells of s1 × s2, in (a, b) order: counted when `fill` is
-    * false, else also written from cell `at`, with src the [[slot]] of the
-    * cell's neighbour pair (every eligible neighbour pair is itself a
-    * candidate). Returns the count.
+    * false, else also written from cell `at`, with src the slot of the cell's
+    * neighbour pair (every eligible neighbour pair is itself a candidate).
+    * Returns the count.
     */
   private def sideCells(s1: Array[Int], s2: Array[Int], fill: Boolean, at: Int): Int = {
     var c = at
     var a = 0
     while (a < s1.length) {
       val x = s1(a)
-      val rank = rank2(l1(x))
+      val rank = index.ranks(x)
       var b = 0
       while (b < s2.length) {
         if (rank(s2(b)) >= 0) {
-          if (fill) { src(c) = slot(x, s2(b)); cellA(c) = a; cellB(c) = b }
+          if (fill) { src(c) = index.slot(x, s2(b)); cellA(c) = a; cellB(c) = b }
           c += 1
         }
         b += 1
@@ -181,8 +141,6 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       bounds
   }
 
-  private def maintained(p: Int): Boolean = fixed == null || java.lang.Double.isNaN(fixed(p))
-
   /** FSim⁰ of pair p: its fixed score if pruned; else L(u, v) for the
     * paper's variants, the identity for §4.3 SimRank (which also pins the
     * maintained diagonal), and min(d)/max(d) for §4.3 RoleSim, with d the
@@ -191,7 +149,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     */
   private def init(p: Int): Double = {
     val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
-    if (!maintained(p)) fixed(p)
+    if (!maintained(fixed, p)) fixed(p)
     else cfg.variant match {
       case Variant.SimRankCfg => if (u == v) 1.0 else 0.0
       case Variant.RoleSimCfg =>
@@ -228,7 +186,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     var p = lo
     while (p < hi) {
       next(at + p - lo) =
-        if (prev != null && !maintained(p)) fixed(p)
+        if (prev != null && !maintained(fixed, p)) fixed(p)
         else {
           val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
           cfg.wPlus * side(prev, s, off(2 * p), off(2 * p + 1), g1.outAdj(u).length, g2.outAdj(v).length) +
@@ -271,8 +229,8 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   /** The fixpoint loop of Algorithm 1, from FSim⁰ until max |Δ| < ε (or for
     * exactly `exactIters` sweeps), capped by Corollary 1 and [[MaxIters]].
     * `sweep(prev, next)` must set next to FSim^k from prev, e.g. by running
-    * [[sweep]] over the ranges of some [[cuts]]. The result holds the
-    * maintained pairs only.
+    * [[sweep]] over the ranges of some [[cuts]]. The result reads the final
+    * score vector through the plan's [[PairIndex]].
     */
   def converge(sweep: (Array[Double], Array[Double]) => Unit): FSimResult = {
     var prev = new Array[Double](size)
@@ -300,35 +258,13 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       if (cfg.exactIters.isEmpty && delta < cfg.epsilon) done = true
     }
 
-    result(prev, iter, delta)
-  }
-
-  /** The maintained pairs and their scores in key order: each row x walks
-    * its whole eligible list and reads every pair's [[slot]], so a half
-    * plan's pair (u, v), u < v, also gives (v, u).
-    */
-  private def result(scores: Array[Double], iter: Int, delta: Double): FSimResult = {
-    if (!half && fixed == null) return new FSimResult(n2, keys, scores, iter, delta)
-    val count = java.util.stream.IntStream.range(0, size).filter(maintained(_))
-      .map(p => if (half && keys(p) / n2 < keys(p) % n2) 2 else 1).sum
-    val all = new Array[Long](count); val out = new Array[Double](count)
-    var i = 0
-    for (x <- 0 until g1.n) {
-      val vs = eligible2(l1(x))
-      var k = 0
-      while (k < vs.length) {
-        val p = slot(x, vs(k))
-        if (maintained(p)) { all(i) = x.toLong * n2 + vs(k); out(i) = scores(p); i += 1 }
-        k += 1
-      }
-    }
-    new FSimResult(n2, all, out, iter, delta)
+    new FSimResult(index, fixed, prev, iter, delta)
   }
 
   /** Sets the maintained diagonal pairs to 1. */
   private def pin(scores: Array[Double]): Unit =
-    for (u <- 0 until math.min(g1.n, n2) if rank2(l1(u))(u) >= 0 && maintained(slot(u, u)))
-      scores(slot(u, u)) = 1.0
+    for (u <- 0 until math.min(g1.n, n2) if index.ranks(u)(u) >= 0 && maintained(fixed, index.slot(u, u)))
+      scores(index.slot(u, u)) = 1.0
 }
 
 private object FSimPlan {
@@ -346,7 +282,65 @@ private object FSimPlan {
     */
   def localRanges: Int = 16 * java.util.concurrent.ForkJoinPool.getCommonPoolParallelism
 
+  /** CSR offsets from counts (of pairs per u, or of cells per pair side). */
+  def offsets(counts: Array[Int]): Array[Int] = {
+    val off = new Array[Int](counts.length + 1)
+    var total = 0L
+    var i = 0
+    while (i < counts.length) {
+      total += counts(i)
+      require(total <= Int.MaxValue, s"plan exceeds ${Int.MaxValue} pairs or cells")
+      off(i + 1) = total.toInt
+      i += 1
+    }
+    off
+  }
+
+  /** Pair p is maintained if `fixed` is null or NaN at p; else fixed(p) is its pruned score α·UB. */
+  def maintained(fixed: Array[Double], p: Int): Boolean = fixed == null || java.lang.Double.isNaN(fixed(p))
+
   /** Runs body(c(i), c(i + 1)) for every range of the cuts `c`, in parallel. */
   def inParallel(c: Array[Int])(body: (Int, Int) => Unit): Unit =
     java.util.stream.IntStream.range(0, c.length - 1).parallel().forEach(i => body(c(i), c(i + 1)))
+}
+
+/** Where a plan's score vector keeps each pair. Under Remark 2's label
+  * constraint, H_c and every eligible neighbour pair are the same L ≥ θ
+  * pairs, so a slot is computed, not searched: [[slot]](x, y) is row x's
+  * start plus y's rank in [[row]](x), the g2 nodes x's label (`l1(x)`) may
+  * pair with (`eligible2`). A half plan (G1 = G2, P3) keeps only the pairs
+  * u ≤ v and reads (x, y), y < x, as (y, x). The ranks take |Σ1| × |V2|
+  * ints, and the Spark broadcast carries them with the plan.
+  */
+private[core] final class PairIndex(l1: Array[Int], eligible2: Array[Array[Int]], val n2: Int,
+                                    val half: Boolean) extends Serializable {
+
+  def n1: Int = l1.length
+
+  /** rank2(a)(y): y's index in eligible2(a), or −1 if y is not eligible. */
+  private val rank2: Array[Array[Int]] = eligible2.map { vs =>
+    val rank = Array.fill(n2)(-1)
+    for (i <- vs.indices) rank(vs(i)) = i
+    rank
+  }
+
+  /** Where row u's slots start in row(u): at v = u in a half plan (L(a, a) = 1 ≥ θ), else 0. */
+  private val firstCol: Array[Int] = Array.tabulate(n1)(u => if (half) ranks(u)(u) else 0)
+
+  /** The slot of each row's first pair (n1 + 1 entries). */
+  private val rowStart: Array[Int] = offsets(Array.tabulate(n1)(u => row(u).length - firstCol(u)))
+
+  /** Number of slots, |H_c|. */
+  def size: Int = rowStart(n1)
+
+  /** x's ranks: y's index in row(x), or −1 if (x, y) is not eligible. */
+  def ranks(x: Int): Array[Int] = rank2(l1(x))
+
+  /** The g2 nodes u may pair with, ascending, mirrors of a half plan included. */
+  def row(u: Int): Array[Int] = eligible2(l1(u))
+
+  /** The slot of the eligible pair (x, y); a half plan reads (y, x) when y < x. */
+  def slot(x: Int, y: Int): Int =
+    if (half && y < x) rowStart(y) - firstCol(y) + ranks(y)(x)
+    else rowStart(x) - firstCol(x) + ranks(x)(y)
 }

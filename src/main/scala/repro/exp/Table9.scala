@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.align._
 import repro.core._
-import repro.graph.{LocalGraph, RdfVersions}
+import repro.graph.RdfVersions
 
 /** Table 9: RDF graph-alignment F1 on evolving versions G1-G2 and G1-G3.
   * Every aligner runs locally: the 2-/4-bisimulation baselines on the exact
@@ -44,16 +44,6 @@ object Table9 {
     for ((pname, (a, b)) <- pairs; al <- aligners) yield {
       Row(pname, al.name, 100.0 * Aligner.f1Identity(a, al.align(a, b)))
     }
-  }
-
-  /** The Table-9 footnote check: exact bisimulation between versions yields
-    * 0% F1 — no cross-version pair is exactly bisimilar under churn. Returns
-    * the F1 of aligning by the exact b-simulation relation.
-    */
-  def exactBisimF1(g1: LocalGraph, g2: LocalGraph): Double = {
-    val r = ExactSimulation.relation(g1, g2, Variant.B)
-    val res = (0 until g1.n).map(u => u -> r(u).stream().toArray.toSeq).toMap
-    100.0 * Aligner.f1Identity(g1, res)
   }
 
   def render(rows: Seq[Row]): String = {

@@ -286,7 +286,7 @@ class FSimLocalSpec extends AnyFunSuite {
     val g = TestGraphs.uniform(3, 4, 1, 2)
     val res = FSimLocal.compute(g, g, cfg(Variant.S))
     assert(res.numPairs === 9)
-    for ((u, v) <- Seq((0, 3), (1, -1), (-1, 0), (2, 3)))
+    for ((u, v) <- Seq((0, 3), (1, -1), (-1, 0), (2, 3), (3, 0)))
       intercept[IllegalArgumentException](res.score(u, v))
   }
 
@@ -299,8 +299,9 @@ class FSimLocalSpec extends AnyFunSuite {
       1 -> Seq(0.2, 0.7, 0.7 + 2e-9),
       2 -> Seq(0.5, 0.5 + 0.9e-9, 0.5 + 1.8e-9),
       4 -> Seq(0.1))
-    val keys = rows.flatMap { case (u, ss) => ss.indices.map(v => u.toLong * n2 + v) }.toArray
-    val res = new FSimResult(n2, keys, rows.flatMap(_._2).toArray, 1, 0.0)
+    val index = new PairIndex(Array.range(0, 5),
+      Array.tabulate(5)(u => rows.toMap.get(u).fold(Array.empty[Int])(_.indices.toArray)), n2, half = false)
+    val res = new FSimResult(index, null, rows.flatMap(_._2).toArray, 1, 0.0)
     assert(res.argmaxByU() === Map(0 -> Seq(0, 1, 2), 1 -> Seq(2), 2 -> Seq(2), 4 -> Seq(0)))
   }
 

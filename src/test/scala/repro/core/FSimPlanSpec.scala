@@ -7,10 +7,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{DbisGen, GraphGen, LocalGraph}
 import scala.util.Random
 
-/** The compiled plan itself: its arrays pinned by checksum, and its cells
-  * and slots against a brute-force enumeration of Remark 2's
-  * label-constrained mapping. The arrays are private, so a test-side helper
-  * reads them by reflection.
+/** The compiled plan itself: its arrays pinned by checksum, its cells and
+  * slots against a brute-force enumeration of Remark 2's label-constrained
+  * mapping, and the result's lookups through the same slots. The arrays are
+  * private, so a test-side helper reads them by reflection.
   */
 class FSimPlanSpec extends AnyFunSuite {
 
@@ -158,5 +158,34 @@ class FSimPlanSpec extends AnyFunSuite {
     assert(result.passed, Pretty.pretty(result))
     assert(halves > 0 && overlaps > 0 && empties > 0,
       s"half plans: $halves, overlapping eligible lists: $overlaps, empty eligible lists: $empties")
+  }
+
+  test("result lookup: score(u, v) reads what pairs gives, pairs walk the L ≥ θ pairs in (u, v) order") {
+    var halves, fulls, bounded, unbounded, pruned = 0
+    val thetas = scala.collection.mutable.Set.empty[Double]
+    val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
+      val res = FSimLocal.compute(g1, g2, c)
+      if ((g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(c.variant)) halves += 1 else fulls += 1
+      if (c.ub.isDefined) bounded += 1 else unbounded += 1
+      thetas += c.theta
+      val lists = eligible(g1, g2, c)
+      val pairs = res.pairs.toSeq
+      if (pairs.size < g1.labels.map(lists(_).size).sum) pruned += 1
+      val byPair = pairs.map { case (u, v, s) => (u, v) -> s }.toMap
+      val keys = pairs.map(p => (p._1, p._2))
+      keys == keys.distinct.sorted && res.numPairs == pairs.size &&
+        keys.forall { case (u, v) => lists(g1.labels(u)).contains(v) } &&
+        (0 until g1.n).forall(u => (0 until g2.n).forall { v =>
+          java.lang.Double.doubleToLongBits(res.score(u, v)) ==
+            java.lang.Double.doubleToLongBits(byPair.getOrElse((u, v), 0.0))
+        })
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(halves > 0 && fulls > 0 && bounded > 0 && unbounded > 0 && pruned > 0 && thetas == Set(0.0, 0.5, 1.0),
+      s"half plans: $halves, full plans: $fulls, with bounds: $bounded, without: $unbounded, " +
+        s"with pruned pairs: $pruned, θ: $thetas")
   }
 }
