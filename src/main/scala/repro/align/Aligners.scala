@@ -131,25 +131,22 @@ final class FinalAligner extends Aligner {
   private val alpha = 0.8
   private val iters = 8
   def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
-    val n2 = g2.n
-    val byLabel2 = (0 until n2).groupBy(g2.labels(_))
-    // candidate pairs: same label
-    val keys = (0 until g1.n).flatMap(u =>
-      byLabel2.getOrElse(g1.labels(u), Seq.empty).map(v => u.toLong * n2 + v)).toArray
-    java.util.Arrays.sort(keys)
-    var prev = Array.fill(keys.length)(1.0)
-    var next = new Array[Double](keys.length)
+    // candidate pairs: same label, slots in (u, v) order
+    val sigma1 = g1.labels.distinct
+    val byLabel2 = (0 until g2.n).groupBy(g2.labels(_))
+    val index = new PairIndex(g1.labels.map(sigma1.zipWithIndex.toMap),
+      sigma1.map(a => byLabel2.getOrElse(a, Seq.empty).toArray), g2.n, half = false)
+    var prev = Array.fill(index.size)(1.0)
+    var next = new Array[Double](index.size)
     val und1 = Array.tabulate(g1.n)(g1.undirectedNeighbors)
     val und2 = Array.tabulate(g2.n)(g2.undirectedNeighbors)
 
-    def get(scores: Array[Double], x: Int, y: Int): Double = {
-      val i = java.util.Arrays.binarySearch(keys, x.toLong * n2 + y)
-      if (i >= 0) scores(i) else 0.0
-    }
+    def get(scores: Array[Double], x: Int, y: Int): Double =
+      if (index.ranks(x)(y) >= 0) scores(index.slot(x, y)) else 0.0
 
     for (_ <- 1 to iters) {
-      java.util.stream.IntStream.range(0, keys.length).parallel().forEach { i =>
-        val u = (keys(i) / n2).toInt; val v = (keys(i) % n2).toInt
+      java.util.stream.IntStream.range(0, index.size).parallel().forEach { i =>
+        val u = index.rowOf(i); val v = index.col(u, i)
         val nu = und1(u); val nv = und2(v)
         val structural =
           if (nu.isEmpty || nv.isEmpty) 0.0
@@ -169,11 +166,11 @@ final class FinalAligner extends Aligner {
     }
 
     // greedy one-to-one extraction by score desc
-    val order = keys.indices.sortBy(i => -prev(i))
+    val order = (0 until index.size).sortBy(i => -prev(i))
     val usedU = mutable.HashSet[Int](); val usedV = mutable.HashSet[Int]()
     val out = mutable.HashMap[Int, Seq[Int]]()
     for (i <- order) {
-      val u = (keys(i) / n2).toInt; val v = (keys(i) % n2).toInt
+      val u = index.rowOf(i); val v = index.col(u, i)
       if (!usedU.contains(u) && !usedV.contains(v)) {
         usedU += u; usedV += v; out(u) = Seq(v)
       }

@@ -33,8 +33,6 @@ import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, offset
   * it is symmetric only to ~1e-16 and keeps the full plan.
   */
 final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Serializable {
-  private val n2 = g2.n
-
   // --- label machinery: intern labels, precompute the |Σ1| x |Σ2| L matrix
   @transient private val sigma1 = g1.labels.distinct
   @transient private val sigma2 = g2.labels.distinct
@@ -49,23 +47,14 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   /** Per Σ1 label, the g2 nodes it may pair with (L ≥ θ), ascending. */
   @transient private val eligible2: Array[Array[Int]] = Array.tabulate(sigma1.length) { a =>
-    java.util.stream.IntStream.range(0, n2).filter(y => lsim(a)(l2(y)) >= cfg.theta).toArray
+    java.util.stream.IntStream.range(0, g2.n).filter(y => lsim(a)(l2(y)) >= cfg.theta).toArray
   }
 
-  private val index = new PairIndex(l1, eligible2, n2,
+  private[core] val index = new PairIndex(l1, eligible2, g2.n,
     half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant))
 
-  /** Sorted keys u*n2+v of the candidate pairs H_c (L ≥ θ): slot p of the
-    * score vector is pair keys(p).
-    */
-  val keys: Array[Long] = new Array[Long](index.size)
-  parallel(g1.n) { u =>
-    val vs = index.row(u)
-    for (i <- vs.indices) if (!index.half || u <= vs(i)) keys(index.slot(u, vs(i))) = u.toLong * n2 + vs(i)
-  }
-
   /** Number of candidate pairs |H_c|, the length of the score vector. */
-  def size: Int = keys.length
+  def size: Int = index.size
 
   private def parallel(n: Int)(body: Int => Unit): Unit =
     java.util.stream.IntStream.range(0, n).parallel().forEach(i => body(i))
@@ -94,14 +83,14 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     c - at
   }
 
-  /** CSR offsets of the cells, per pair side. */
+  /** CSR offsets of the cells, per pair side, counted row by row. */
   private val off: Array[Int] = {
     val counts = new Array[Int](2 * size)
-    parallel(size) { p =>
-      val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
+    parallel(g1.n)(u => for (p <- index.rowStart(u) until index.rowStart(u + 1)) {
+      val v = index.col(u, p)
       counts(2 * p) = sideCells(g1.outAdj(u), g2.outAdj(v), fill = false, 0)
       counts(2 * p + 1) = sideCells(g1.inAdj(u), g2.inAdj(v), fill = false, 0)
-    }
+    })
     offsets(counts)
   }
   private val cellA = new Array[Int](off(2 * size))
@@ -114,9 +103,11 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   private val label = new Array[Double](size)
 
   inParallel(cuts(localRanges)) { (lo, hi) =>
+    var u = index.rowOf(lo)
     var p = lo
     while (p < hi) {
-      val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
+      while (p >= index.rowStart(u + 1)) u += 1
+      val v = index.col(u, p)
       sideCells(g1.outAdj(u), g2.outAdj(v), fill = true, off(2 * p))
       sideCells(g1.inAdj(u), g2.inAdj(v), fill = true, off(2 * p + 1))
       label(p) = cfg.variant match {
@@ -141,23 +132,19 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       bounds
   }
 
-  /** FSim⁰ of pair p: its fixed score if pruned; else L(u, v) for the
-    * paper's variants, the identity for §4.3 SimRank (which also pins the
-    * maintained diagonal), and min(d)/max(d) for §4.3 RoleSim, with d the
-    * out-degree, i.e. the undirected degree on the §4.3 undirected view of
-    * the graph.
+  /** FSim⁰ of pair p: its fixed score if pruned; min(d)/max(d) for §4.3
+    * RoleSim, with d the out-degree (the undirected degree on §4.3's
+    * undirected view); else label(p), i.e. L(u, v) for the paper's variants
+    * and 0 for §4.3 SimRank, whose maintained diagonal [[pin]] then sets to 1.
     */
-  private def init(p: Int): Double = {
-    val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
+  private def init(p: Int): Double =
     if (!maintained(fixed, p)) fixed(p)
-    else cfg.variant match {
-      case Variant.SimRankCfg => if (u == v) 1.0 else 0.0
-      case Variant.RoleSimCfg =>
-        val (du, dv) = (g1.outAdj(u).length, g2.outAdj(v).length)
-        if (math.max(du, dv) == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
-      case _ => label(p)
+    else if (cfg.variant != Variant.RoleSimCfg) label(p)
+    else {
+      val u = index.rowOf(p)
+      val (du, dv) = (g1.outAdj(u).length, g2.outAdj(index.col(u, p)).length)
+      if (math.max(du, dv) == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
     }
-  }
 
   /** One side term of Eq. 3: Mχ over cells lo until hi, weighted by the
     * previous scores `prev` (or 1 each when `prev` is null), over Ωχ.
@@ -179,16 +166,18 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     * pair lo + i from the previous scores `prev`, or to its fixed score if
     * pruned. Ranges are independent, so any split of 0 until size gives the
     * same scores. With `prev` null, sets every pair's Eq.-6 bound instead
-    * (every neighbour score 1). One scratch serves the whole range.
+    * (every neighbour score 1). One scratch and one row cursor serve the range.
     */
   def sweep(prev: Array[Double], next: Array[Double], lo: Int, hi: Int, at: Int): Unit = {
     val s = scratch.get()
+    var u = index.rowOf(lo)
     var p = lo
     while (p < hi) {
+      while (p >= index.rowStart(u + 1)) u += 1
       next(at + p - lo) =
         if (prev != null && !maintained(fixed, p)) fixed(p)
         else {
-          val u = (keys(p) / n2).toInt; val v = (keys(p) % n2).toInt
+          val v = index.col(u, p)
           cfg.wPlus * side(prev, s, off(2 * p), off(2 * p + 1), g1.outAdj(u).length, g2.outAdj(v).length) +
             cfg.wMinus * side(prev, s, off(2 * p + 1), off(2 * p + 2), g1.inAdj(u).length, g2.inAdj(v).length) +
             cfg.wLabel * label(p)
@@ -263,7 +252,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   /** Sets the maintained diagonal pairs to 1. */
   private def pin(scores: Array[Double]): Unit =
-    for (u <- 0 until math.min(g1.n, n2) if index.ranks(u)(u) >= 0 && maintained(fixed, index.slot(u, u)))
+    for (u <- 0 until math.min(g1.n, g2.n) if index.ranks(u)(u) >= 0 && maintained(fixed, index.slot(u, u)))
       scores(index.slot(u, u)) = 1.0
 }
 
@@ -273,7 +262,7 @@ private object FSimPlan {
   final val MaxIters = 100
 
   /** Sweep cost of one pair beyond its cells, in cells: the two side terms,
-    * their Ωχ and the key decoding. Used only to balance ranges.
+    * their Ωχ and the pair's row and column. Used only to balance ranges.
     */
   final val PairCost = 2
 
@@ -304,16 +293,17 @@ private object FSimPlan {
     java.util.stream.IntStream.range(0, c.length - 1).parallel().forEach(i => body(c(i), c(i + 1)))
 }
 
-/** Where a plan's score vector keeps each pair. Under Remark 2's label
-  * constraint, H_c and every eligible neighbour pair are the same L ≥ θ
-  * pairs, so a slot is computed, not searched: [[slot]](x, y) is row x's
+/** The one map from a pair to its score-vector slot and back, which
+  * [[FSimPlan]], [[FSimResult]] and the FINAL-like aligner read through. Under
+  * Remark 2's label constraint, H_c and every eligible neighbour pair are the
+  * same L ≥ θ pairs, so [[slot]](x, y) is computed, not searched: row x's
   * start plus y's rank in [[row]](x), the g2 nodes x's label (`l1(x)`) may
-  * pair with (`eligible2`). A half plan (G1 = G2, P3) keeps only the pairs
-  * u ≤ v and reads (x, y), y < x, as (y, x). The ranks take |Σ1| × |V2|
-  * ints, and the Spark broadcast carries them with the plan.
+  * pair with (`eligible2`). Slots run in (u, v) order; a half plan (G1 = G2,
+  * P3) keeps only u ≤ v and reads (x, y), y < x, as (y, x). The ranks take
+  * |Σ1| × |V2| ints, and the Spark broadcast carries them with the plan.
   */
-private[core] final class PairIndex(l1: Array[Int], eligible2: Array[Array[Int]], val n2: Int,
-                                    val half: Boolean) extends Serializable {
+private[repro] final class PairIndex(l1: Array[Int], eligible2: Array[Array[Int]], val n2: Int,
+                                     half: Boolean) extends Serializable {
 
   def n1: Int = l1.length
 
@@ -327,8 +317,8 @@ private[core] final class PairIndex(l1: Array[Int], eligible2: Array[Array[Int]]
   /** Where row u's slots start in row(u): at v = u in a half plan (L(a, a) = 1 ≥ θ), else 0. */
   private val firstCol: Array[Int] = Array.tabulate(n1)(u => if (half) ranks(u)(u) else 0)
 
-  /** The slot of each row's first pair (n1 + 1 entries). */
-  private val rowStart: Array[Int] = offsets(Array.tabulate(n1)(u => row(u).length - firstCol(u)))
+  /** The slot of each row's first pair (n1 + 1 entries); an empty row starts where the next does. */
+  val rowStart: Array[Int] = offsets(Array.tabulate(n1)(u => row(u).length - firstCol(u)))
 
   /** Number of slots, |H_c|. */
   def size: Int = rowStart(n1)
@@ -338,6 +328,18 @@ private[core] final class PairIndex(l1: Array[Int], eligible2: Array[Array[Int]]
 
   /** The g2 nodes u may pair with, ascending, mirrors of a half plan included. */
   def row(u: Int): Array[Int] = eligible2(l1(u))
+
+  /** The row u of slot p, by binary search for the last row starting at or before p (rows may be
+    * empty). A run of slots starts a cursor here and advances it while p ≥ rowStart(u + 1).
+    */
+  def rowOf(p: Int): Int = {
+    var lo = 0; var hi = n1
+    while (lo < hi) { val mid = (lo + hi + 1) >>> 1; if (rowStart(mid) <= p) lo = mid else hi = mid - 1 }
+    lo
+  }
+
+  /** The g2 node v of slot p in row u, so that slot(u, v) == p. */
+  def col(u: Int, p: Int): Int = row(u)(p - rowStart(u) + firstCol(u))
 
   /** The slot of the eligible pair (x, y); a half plan reads (y, x) when y < x. */
   def slot(x: Int, y: Int): Int =

@@ -81,6 +81,21 @@ class AlignersSpec extends AnyFunSuite {
     }
   }
 
+  test("FINAL's alignment is unchanged: F1 bits and a checksum of its pairs on G1-G2 and G1-G3 at n3 = 600") {
+    // Recorded from the FINAL that located neighbour pairs by binary search
+    // over sorted u * n2 + v keys
+    val rdf = RdfVersions.generate(n3 = 600)
+    val got = for (pair <- Seq("G1-G2", "G1-G3")) yield {
+      val res = new FinalAligner().align(rdf.g1, if (pair == "G1-G2") rdf.g2 else rdf.g3)
+      val sum = res.toSeq.flatMap { case (u, a) => a.map(v => (u, v)) }.sorted
+        .foldLeft(17L) { case (h, (u, v)) => 31 * (31 * h + u) + v }
+      pair -> (java.lang.Double.doubleToLongBits(Aligner.f1Identity(rdf.g1, res)), sum)
+    }
+    assert(got === Seq(
+      "G1-G2" -> ((4605302513329427183L, 4819366951209869087L)),
+      "G1-G3" -> ((4604991920251677493L, -6278214786236394233L))))
+  }
+
   test("Olap (out-only converged classes) differs from 2-bisim") {
     val ro = new OlapAligner().align(vs.g1, vs.g2)
     val r2 = new KBisimAligner(2).align(vs.g1, vs.g2)

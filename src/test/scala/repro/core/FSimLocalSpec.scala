@@ -165,14 +165,13 @@ class FSimLocalSpec extends AnyFunSuite {
   }
 
   /** The Eq.-6 bound of a candidate pair (u, v), read from one bound pass
-    * over the whole plan, the pass that §3.4 pruning runs. A half plan
-    * (G1 = G2, b or bj) holds (v, u) when it does not hold (u, v).
+    * over the whole plan, the pass that §3.4 pruning runs, at the pair's
+    * slot (a half plan's, G1 = G2 with b or bj, for (v, u) when v < u).
     */
-  private def boundOf(plan: FSimPlan, n2: Int): (Int, Int) => Double = {
+  private def boundOf(plan: FSimPlan): (Int, Int) => Double = {
     val bounds = new Array[Double](plan.size)
     plan.sweep(null, bounds, 0, plan.size, 0)
-    def slot(u: Int, v: Int) = java.util.Arrays.binarySearch(plan.keys, u.toLong * n2 + v)
-    (u, v) => bounds(if (slot(u, v) >= 0) slot(u, v) else slot(v, u))
+    (u, v) => bounds(plan.index.slot(u, v))
   }
 
   test("upper bound dominates the true score (Eq. 6)") {
@@ -180,7 +179,7 @@ class FSimLocalSpec extends AnyFunSuite {
       val g1 = TestGraphs.uniform(10, 20, 2, seed)
       val g2 = TestGraphs.uniform(10, 20, 2, seed + 1)
       val c = cfg(variant)
-      val upperBound = boundOf(new FSimPlan(g1, g2, c), g2.n)
+      val upperBound = boundOf(new FSimPlan(g1, g2, c))
       for ((u, v, s) <- FSimLocal.compute(g1, g2, c).pairs) {
         val bound = upperBound(u, v)
         assert(s <= bound + 1e-9, s"χ=${variant.name} seed $seed ($u,$v): $s > $bound")
@@ -258,7 +257,7 @@ class FSimLocalSpec extends AnyFunSuite {
     var checked = 0
     val prop = Prop.forAll(ubCase) { case (g1, g2, c) =>
       drawn += ((c.variant, c.theta))
-      val upperBound = boundOf(new FSimPlan(g1, g2, c), g2.n)
+      val upperBound = boundOf(new FSimPlan(g1, g2, c))
       Seq(c, c.copy(ub = None)).forall { run =>
         FSimLocal.compute(g1, g2, run).pairs.forall { case (u, v, s) =>
           checked += 1

@@ -10,7 +10,8 @@ import scala.util.Random
 /** The compiled plan itself: its arrays pinned by checksum, its cells and
   * slots against a brute-force enumeration of Remark 2's label-constrained
   * mapping, and the result's lookups through the same slots. The arrays are
-  * private, so a test-side helper reads them by reflection.
+  * private, so a test-side helper reads them by reflection; the pair keys
+  * are rebuilt through the plan's [[PairIndex]].
   */
 class FSimPlanSpec extends AnyFunSuite {
 
@@ -25,6 +26,14 @@ class FSimPlanSpec extends AnyFunSuite {
 
   private def ints(plan: FSimPlan, name: String): Array[Int] = field[Array[Int]](plan, name)
 
+  /** Key u * n2 + v of each slot's pair, read through the plan's index: the
+    * sorted keys the plan once stored, so the pinned checksums still hold.
+    */
+  private def keysOf(plan: FSimPlan): Array[Long] = Array.tabulate(plan.size) { p =>
+    val u = plan.index.rowOf(p)
+    u.toLong * plan.index.n2 + plan.index.col(u, p)
+  }
+
   /** One fold per plan array, in the order keys, off, cellA, cellB, src,
     * label, fixed (doubles by their bits; a null `fixed` folds to 0).
     */
@@ -32,7 +41,7 @@ class FSimPlanSpec extends AnyFunSuite {
     def fold(xs: Iterator[Long]): Long = xs.foldLeft(17L)((h, x) => 31 * h + x)
     def doubles(name: String): Long = Option(field[Array[Double]](plan, name))
       .fold(0L)(a => fold(a.iterator.map(java.lang.Double.doubleToLongBits)))
-    Seq(fold(plan.keys.iterator)) ++
+    Seq(fold(keysOf(plan).iterator)) ++
       Seq("off", "cellA", "cellB", "src").map(n => fold(ints(plan, n).iterator.map(_.toLong))) ++
       Seq(doubles("label"), doubles("fixed"))
   }
@@ -140,15 +149,17 @@ class FSimPlanSpec extends AnyFunSuite {
       if (lists.values.exists(_.isEmpty)) empties += 1
       def eligibleNodes(x: Int, y: Int) = c.labelSim(g1.labels(x), g2.labels(y)) >= c.theta
       def key(x: Int, y: Int) = if (half && y < x) y.toLong * n2 + x else x.toLong * n2 + y
-      val keys = for (u <- 0 until g1.n; v <- 0 until n2 if eligibleNodes(u, v) && (!half || u <= v))
+      val expected = for (u <- 0 until g1.n; v <- 0 until n2 if eligibleNodes(u, v) && (!half || u <= v))
         yield u.toLong * n2 + v
-      plan.keys.toSeq == keys && plan.keys.indices.forall { p =>
-        val (u, v) = ((plan.keys(p) / n2).toInt, (plan.keys(p) % n2).toInt)
+      val keys = keysOf(plan)
+      keys.toSeq == expected && keys.indices.forall { p =>
+        val (u, v) = ((keys(p) / n2).toInt, (keys(p) % n2).toInt) // rowOf(p) and col(u, p)
+        plan.index.slot(u, v) == p &&
         Seq((g1.outAdj(u), g2.outAdj(v)), (g1.inAdj(u), g2.inAdj(v))).zipWithIndex.forall { case ((s1, s2), side) =>
           val cells = off(2 * p + side) until off(2 * p + side + 1)
           val want = for (a <- s1.indices; b <- s2.indices if eligibleNodes(s1(a), s2(b))) yield (a, b)
           cells.map(k => (cellA(k), cellB(k))) == want &&
-            cells.forall(k => plan.keys(src(k)) == key(s1(cellA(k)), s2(cellB(k))))
+            cells.forall(k => keys(src(k)) == key(s1(cellA(k)), s2(cellB(k))))
         }
       }
     }
