@@ -32,6 +32,17 @@ class MetaPathSpec extends SparkSpec {
       "va" -> va)
   }
 
+  test("commuting matrix of the Table 7/8 graph is pinned") {
+    val big = DbisGen.generate(authorsPerArea = 50, papersPerVenue = 14)
+    val entries = MetaPath.collectM(MetaPath.commutingMatrix(MetaPath.venueAuthorCounts(spark, big)))
+      .toSeq.sortBy(_._1)
+    assert(entries.forall { case (_, x) => x == math.rint(x) })
+    val checksum = entries.foldLeft(0L) { case (h, ((v1, v2), x)) =>
+      h * 31 + (v1 * 64L + v2) * 1000003L + x.toLong
+    }
+    assert((entries.size, checksum) === ((894, -8485321201303959161L)))
+  }
+
   test("PathSim: self-similarity is 1, symmetric, in [0,1]") {
     val ps = MetaPath.pathSim(m) _
     for (v <- d.venues) {
