@@ -4,8 +4,9 @@ import org.apache.spark.sql.SparkSession
 import repro.exp._
 
 /** spark-submit entrypoints, one per reproduced table. Each prints the
-  * paper-vs-measured table to stdout. Tables 4, 7 and 8 run Spark jobs and
-  * start a session; the others compute locally. Example:
+  * paper-vs-measured table to stdout. Only Tables 7 and 8 start a session:
+  * their FSim_bj runs on [[repro.core.FSimSpark]]. The others compute
+  * locally. Example:
   *
   *   spark-submit --class repro.jobs.Table7Job target/scala-2.13/repro_2.13-*.jar
   */
@@ -14,8 +15,6 @@ object Jobs {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
   def run(name: String)(body: SparkSession => String): Unit = {
@@ -26,9 +25,7 @@ object Jobs {
 }
 
 object Table2Job { def main(args: Array[String]): Unit = println(Table2.render(Table2.compute())) }
-object Table4Job {
-  def main(args: Array[String]): Unit = Jobs.run("table4")(spark => Table4.render(Table4.compute(spark)))
-}
+object Table4Job { def main(args: Array[String]): Unit = println(Table4.render(Table4.compute())) }
 object Table5Job { def main(args: Array[String]): Unit = println(Table5.render(Table5.compute())) }
 object Table6Job { def main(args: Array[String]): Unit = println(Table6.render(Table6.compute())) }
 object Table7Job {

@@ -1,12 +1,11 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
-import repro.graph.{GraphFrames, GraphGen}
+import repro.graph.{GraphGen, LocalGraph}
 
 /** Table 4: dataset statistics. We report the statistics of our synthetic
   * scaled stand-ins next to the paper's originals (DESIGN.md §3 documents
-  * the scaling). Statistics are computed in Spark SQL ([[GraphFrames.statsDF]],
-  * DuckDB-oracle-checked in GraphFramesSpec).
+  * the scaling). Each row is read off the generated [[LocalGraph]]
+  * ([[row]], DuckDB-oracle-checked in GraphFramesSpec).
   */
 object Table4 {
 
@@ -24,15 +23,17 @@ object Table4 {
   final case class Row(name: String, e: Long, v: Long, sigma: Long,
                        d: Double, dOut: Long, dIn: Long)
 
-  def compute(spark: SparkSession): Seq[Row] = {
-    GraphGen.datasets.map { cfg =>
-      val g = GraphGen.generate(cfg, seed = 42L)
-      val st = GraphFrames.statsDF(
-        GraphFrames.nodesDF(spark, g), GraphFrames.edgesDF(spark, g)).first()
-      Row(cfg.name, st.getLong(0), st.getLong(1), st.getLong(2),
-        st.getDouble(3), st.getLong(4), st.getLong(5))
-    }
+  /** Statistics of `g`: |E|, |V|, |Σ|, d = |E|/|V| rounded half-up to two
+    * decimals, and the maximum out- and in-degree D⁺, D⁻ (0 without edges).
+    */
+  def row(name: String, g: LocalGraph): Row = {
+    def maxLen(adj: Array[Array[Int]]): Long = adj.iterator.map(_.length.toLong).maxOption.getOrElse(0L)
+    val d = BigDecimal(g.m.toDouble / g.n).setScale(2, BigDecimal.RoundingMode.HALF_UP).toDouble
+    Row(name, g.m, g.n.toLong, g.labelSet.size.toLong, d, maxLen(g.outAdj), maxLen(g.inAdj))
   }
+
+  def compute(): Seq[Row] =
+    GraphGen.datasets.map(cfg => row(cfg.name, GraphGen.generate(cfg, seed = 42L)))
 
   def render(rows: Seq[Row]): String = {
     val sb = new StringBuilder

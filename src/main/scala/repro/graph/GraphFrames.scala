@@ -1,11 +1,10 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
-/** Bridge between [[LocalGraph]] and Spark DataFrames, plus distributed
-  * graph statistics. All FSimχ Spark-side computation consumes the two
-  * canonical frames produced here:
+/** Bridge between [[LocalGraph]] and Spark DataFrames. The frame overload
+  * of [[repro.core.FSimSpark]] consumes the two canonical frames produced
+  * here, and [[toLocal]] collects them back:
   *
   *  - nodes: (id LONG, label STRING)
   *  - edges: (src LONG, dst LONG)
@@ -44,26 +43,5 @@ object GraphFrames {
       (r.getLong(0).toInt, r.getLong(1).toInt)
     }
     LocalGraph.fromEdges(labels, es.toSeq)
-  }
-
-  /** One-row statistics frame matching the paper's Table 4 columns:
-    * |E|, |V|, |Σ|, avg degree d_G = |E|/|V|, max out-degree D⁺, max
-    * in-degree D⁻. Computed fully in Spark SQL so the DuckDB oracle can
-    * validate it.
-    */
-  def statsDF(nodes: DataFrame, edges: DataFrame): DataFrame = {
-    val out = edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("outdeg"))
-    val in  = edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("indeg"))
-    val nV = nodes.agg(
-      count(lit(1)).as("num_nodes"),
-      countDistinct(col("label")).as("num_labels"))
-    val nE = edges.agg(count(lit(1)).as("num_edges"))
-    val dOut = out.agg(coalesce(max(col("outdeg")), lit(0L)).as("max_outdeg"))
-    val dIn  = in.agg(coalesce(max(col("indeg")), lit(0L)).as("max_indeg"))
-    nV.crossJoin(nE).crossJoin(dOut).crossJoin(dIn)
-      .select(
-        col("num_edges"), col("num_nodes"), col("num_labels"),
-        round(col("num_edges").cast("double") / col("num_nodes"), 2).as("avg_degree"),
-        col("max_outdeg"), col("max_indeg"))
   }
 }

@@ -61,16 +61,12 @@ abstract class SeedExpandMatcher extends Matcher {
       if (bv >= 0) Some((bv, bs)) else None
     }
 
-    // Seed: globally best (q, v) pair.
-    var seed: Option[(Int, Int, Double)] = None
-    for (q <- 0 until query.n; best <- bestGlobal(q))
-      if (seed.forall(_._3 < best._2)) seed = Some((q, best._1, best._2))
-    seed.foreach { case (q, v, _) => assigned(q) = v; used += v }
-    if (seed.isEmpty) return Map.empty
-
     // Expand along query edges, best-local-candidate first; fall back to the
     // global best candidate when neighborhood expansion finds nothing
-    // (tolerates missing edges/nodes, strength S1).
+    // (tolerates missing edges/nodes, strength S1). The first round has no
+    // frontier and no local candidates, so its pick, the first strictly
+    // largest bestGlobal(q), is the seed; with no candidate at all the
+    // match stays empty.
     var progress = true
     while (assigned.size < query.n && progress) {
       progress = false

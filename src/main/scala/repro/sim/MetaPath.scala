@@ -1,44 +1,34 @@
 package repro.sim
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.DbisGen
 
 /** Meta-path machinery over the DBIS-like bibliographic graph (author →
   * paper → venue): the venue-author incidence counts and the V-P-A-P-V
-  * commuting matrix that PathSim and JoinSim are defined on. Computed with
-  * Spark DataFrames (and oracle-checked against DuckDB SQL in tests).
+  * commuting matrix that PathSim and JoinSim are defined on. Both are folds
+  * over the local graph (oracle-checked against DuckDB SQL in tests).
   */
 object MetaPath {
 
-  /** (venue, author, cnt) — papers of `venue` written by `author`. */
-  def venueAuthorCounts(spark: SparkSession, d: DbisGen.Dbis): DataFrame = {
-    import spark.implicits._
+  /** (venue, author) -> papers of `venue` written by `author`: for each
+    * paper p, each venue among p's out-neighbours and each author among its
+    * in-neighbours.
+    */
+  def venueAuthorCounts(d: DbisGen.Dbis): Map[(Int, Int), Long] = {
     val g = d.graph
-    val nVenues = d.venues.size
-    val pv = g.edges.collect {
-      case (p, v) if d.paperRange.contains(p) && v < nVenues => (p.toLong, v.toLong)
-    }.toSeq.toDF("paper", "venue")
-    val ap = g.edges.collect {
-      case (a, p) if d.authorRange.contains(a) && d.paperRange.contains(p) => (a.toLong, p.toLong)
-    }.toSeq.toDF("author", "paper")
-    pv.join(ap, "paper").groupBy("venue", "author").agg(count(lit(1)).as("cnt"))
+    (for (p <- d.paperRange; v <- g.outAdj(p).iterator if v < d.venues.size;
+          a <- g.inAdj(p).iterator if d.authorRange.contains(a)) yield (v, a))
+      .groupMapReduce(identity)(_ => 1L)(_ + _)
   }
 
-  /** Commuting matrix M of the meta-path V-P-A-P-V:
+  /** Nonzero entries of the commuting matrix M of the meta-path V-P-A-P-V:
     * M(v1,v2) = Σ_a cnt(v1,a)·cnt(v2,a).
     */
-  def commutingMatrix(va: DataFrame): DataFrame = {
-    val a = va.select(col("venue").as("v1"), col("author"), col("cnt").as("c1"))
-    val b = va.select(col("venue").as("v2"), col("author"), col("cnt").as("c2"))
-    a.join(b, "author")
-      .groupBy("v1", "v2")
-      .agg(sum(col("c1") * col("c2")).as("m"))
+  def commutingMatrix(d: DbisGen.Dbis): Map[(Int, Int), Double] = {
+    val byAuthor = venueAuthorCounts(d).toSeq.groupMap(_._1._2) { case ((v, _), c) => (v, c) }
+    byAuthor.values.toSeq
+      .flatMap(vcs => for ((v1, c1) <- vcs; (v2, c2) <- vcs) yield ((v1, v2), c1 * c2))
+      .groupMapReduce(_._1)(_._2)(_ + _).map { case (k, m) => k -> m.toDouble }
   }
-
-  /** Collect the commuting matrix into a dense local map (venues are few). */
-  def collectM(mDf: DataFrame): Map[(Int, Int), Double] =
-    mDf.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt) -> r.getLong(2).toDouble).toMap
 
   /** PathSim (Sun et al., VLDB'11): s(a,b) = 2·M(a,b)/(M(a,a)+M(b,b)). */
   def pathSim(m: Map[(Int, Int), Double])(a: Int, b: Int): Double = {

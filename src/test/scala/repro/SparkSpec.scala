@@ -8,9 +8,9 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so that the DataFrame joins under
-  * test (graph statistics, meta-paths) run through the shuffle, as the
-  * benches and jobs run them.
+  * limit). Broadcast joins are disabled so that the DataFrames the tests
+  * build (the frame overload of FSimSpark, the DuckDB oracles' inputs and
+  * the degree histogram) run through the shuffle.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

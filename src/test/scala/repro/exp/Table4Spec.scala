@@ -1,7 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
-import repro.graph.{GraphFrames, LocalGraph}
+import repro.graph.LocalGraph
 
 /** Table 4's statistics rows, pinned: |E|, |V|, |Σ|, d rounded half-up to
   * two decimals, and the maximum out- and in-degree of each generated
@@ -9,13 +9,8 @@ import repro.graph.{GraphFrames, LocalGraph}
   */
 class Table4Spec extends SparkSpec {
 
-  private def row(name: String, g: LocalGraph): Table4.Row = {
-    val st = GraphFrames.statsDF(GraphFrames.nodesDF(spark, g), GraphFrames.edgesDF(spark, g)).first()
-    Table4.Row(name, st.getLong(0), st.getLong(1), st.getLong(2), st.getDouble(3), st.getLong(4), st.getLong(5))
-  }
-
   test("Table 4 rows are pinned") {
-    assert(Table4.compute(spark) === Seq(
+    assert(Table4.compute() === Seq(
       Table4.Row("Yeast", 1795L, 590L, 13L, 3.04, 27L, 22L),
       Table4.Row("Cora", 1830L, 463L, 67L, 3.95, 36L, 39L),
       Table4.Row("Wiki", 29970L, 1148L, 116L, 26.11, 495L, 494L),
@@ -29,8 +24,8 @@ class Table4Spec extends SparkSpec {
   test("d rounds a tie half up, and a graph without edges has degrees 0") {
     // |E|/|V| = 1/8 = 0.125: half-up gives 0.13, half-even would give 0.12
     val tie = LocalGraph.fromEdges(Array.fill(8)("a"), Seq(0 -> 1))
-    assert(row("tie", tie) === Table4.Row("tie", 1L, 8L, 1L, 0.13, 1L, 1L))
+    assert(Table4.row("tie", tie) === Table4.Row("tie", 1L, 8L, 1L, 0.13, 1L, 1L))
     val empty = LocalGraph.fromEdges(Array("a", "b", "a"), Nil)
-    assert(row("empty", empty) === Table4.Row("empty", 0L, 3L, 2L, 0.0, 0L, 0L))
+    assert(Table4.row("empty", empty) === Table4.Row("empty", 0L, 3L, 2L, 0.0, 0L, 0L))
   }
 }

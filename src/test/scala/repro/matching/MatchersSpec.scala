@@ -2,7 +2,7 @@ package repro.matching
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{StrongSimulation, Variant}
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, LocalGraph}
 import scala.util.Random
 
 class MatchersSpec extends AnyFunSuite {
@@ -96,5 +96,12 @@ class MatchersSpec extends AnyFunSuite {
       val pred = m.matchQuery(q, data)
       assert(pred.values.toSeq.distinct.size === pred.size, m.name)
     }
+    // on a tie the first query node and the first data node win
+    val flat = new SeedExpandMatcher {
+      val name = "flat"
+      protected def scores(query: LocalGraph, data: LocalGraph): (Int, Int) => Double = (_, _) => 1.0
+    }
+    val pred = flat.matchQuery(LocalGraph.fromEdges(Array("a", "a"), Nil), LocalGraph.fromEdges(Array.fill(3)("a"), Nil))
+    assert(pred === Map(0 -> 0, 1 -> 1))
   }
 }

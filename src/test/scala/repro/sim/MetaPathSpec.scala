@@ -6,8 +6,13 @@ import repro.graph.DbisGen
 class MetaPathSpec extends SparkSpec {
 
   private lazy val d = DbisGen.generate(authorsPerArea = 20, papersPerVenue = 6)
-  private lazy val va = MetaPath.venueAuthorCounts(spark, d)
-  private lazy val m = MetaPath.collectM(MetaPath.commutingMatrix(va))
+  private lazy val m = MetaPath.commutingMatrix(d)
+
+  private def vaDF = {
+    import spark.implicits._
+    MetaPath.venueAuthorCounts(d).toSeq.map { case ((v, a), c) => (v.toLong, a.toLong, c) }
+      .toDF("venue", "author", "cnt")
+  }
 
   test("venue-author counts match DuckDB oracle") {
     import spark.implicits._
@@ -19,23 +24,26 @@ class MetaPathSpec extends SparkSpec {
     val ap = g.edges.collect {
       case (a, p) if d.authorRange.contains(a) && d.paperRange.contains(p) => (a.toLong, p.toLong)
     }.toSeq.toDF("author", "paper")
-    Oracle.assertEquivalent(va,
+    Oracle.assertEquivalent(vaDF,
       "SELECT pv.venue AS venue, ap.author AS author, count(*) AS cnt " +
         "FROM pv JOIN ap ON pv.paper = ap.paper GROUP BY pv.venue, ap.author",
       "pv" -> pv, "ap" -> ap)
   }
 
   test("commuting matrix matches DuckDB oracle") {
-    Oracle.assertEquivalent(MetaPath.commutingMatrix(va),
+    import spark.implicits._
+    // the entries are sums of count products, so whole numbers
+    assert(m.values.forall(x => x == math.rint(x)))
+    val mDF = m.toSeq.map { case ((v1, v2), x) => (v1.toLong, v2.toLong, x.toLong) }.toDF("v1", "v2", "m")
+    Oracle.assertEquivalent(mDF,
       "SELECT a.venue AS v1, b.venue AS v2, sum(CAST(a.cnt AS BIGINT) * CAST(b.cnt AS BIGINT)) AS m " +
         "FROM va a JOIN va b ON a.author = b.author GROUP BY a.venue, b.venue",
-      "va" -> va)
+      "va" -> vaDF)
   }
 
   test("commuting matrix of the Table 7/8 graph is pinned") {
     val big = DbisGen.generate(authorsPerArea = 50, papersPerVenue = 14)
-    val entries = MetaPath.collectM(MetaPath.commutingMatrix(MetaPath.venueAuthorCounts(spark, big)))
-      .toSeq.sortBy(_._1)
+    val entries = MetaPath.commutingMatrix(big).toSeq.sortBy(_._1)
     assert(entries.forall { case (_, x) => x == math.rint(x) })
     val checksum = entries.foldLeft(0L) { case (h, ((v1, v2), x)) =>
       h * 31 + (v1 * 64L + v2) * 1000003L + x.toLong
