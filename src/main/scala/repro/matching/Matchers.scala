@@ -64,9 +64,8 @@ abstract class SeedExpandMatcher extends Matcher {
     // Expand along query edges, best-local-candidate first; fall back to the
     // global best candidate when neighborhood expansion finds nothing
     // (tolerates missing edges/nodes, strength S1). The first round has no
-    // frontier and no local candidates, so its pick, the first strictly
-    // largest bestGlobal(q), is the seed; with no candidate at all the
-    // match stays empty.
+    // frontier and no local candidates, so it picks the seed: the first
+    // strictly largest bestGlobal(q). Without any candidate, the match is empty.
     var progress = true
     while (assigned.size < query.n && progress) {
       progress = false
