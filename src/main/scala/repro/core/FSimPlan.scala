@@ -1,17 +1,19 @@
 package repro.core
 
+import java.util.stream.IntStream
 import repro.graph.LocalGraph
-import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, offsets}
+import FSimPlan.{MaxIters, PairCost, candidates, inParallel, localRanges, maintained, offsets}
 
-/** Algorithm 1 for one (G1, G2, cfg), prepared once: the label matrix, the
-  * candidate pairs H_c, the compiled neighbour cells, the Eq.-6 pruning,
-  * the Eq.-3 update over a pair range [[sweep]] and the fixpoint loop
-  * [[converge]]. Both engines run a plan and cut each iteration into the
-  * cost-balanced pair ranges of [[cuts]]; they differ only in where the
-  * ranges run. The Eq.-6 bound FSim̄χ(u, v) ≥ FSimχ(u, v) is the same update
-  * with every eligible neighbour score set to 1 ([[sweep]] with no previous
-  * scores), so each side is |Mχ|/Ωχ. Serializable so that the Spark engine
-  * can broadcast it.
+/** Algorithm 1 for one (G1, G2, cfg), prepared once in four phases: H_c and
+  * its label terms ([[FSimPlan.candidates]]), the neighbour cells
+  * ([[countCells]], [[fillCells]]) and the Eq.-6 pruning ([[bounds]]).
+  * [[converge]] runs the fixpoint from FSim⁰ ([[fsim0]]) by the Eq.-3
+  * update over a pair range ([[sweep]]). Both engines run a plan and cut
+  * each iteration into the cost-balanced pair ranges of [[cuts]]; they
+  * differ only in where the ranges run. The Eq.-6 bound FSim̄χ(u, v) ≥
+  * FSimχ(u, v) is the same update with every eligible neighbour score set
+  * to 1 ([[sweep]] with no previous scores), so each side is |Mχ|/Ωχ.
+  * Serializable so that the Spark engine can broadcast it.
   *
   * The plan stores, per pair of H_c and side (out, then in), the eligible
   * (L ≥ θ) cells of |N(u)| × |N(v)| in CSR form: pair p's out cells are
@@ -27,44 +29,31 @@ import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, offset
   * any other slot. The [[FSimResult]] of [[converge]] skips the pruned pairs.
   *
   * On G1 = G2 (`g1 eq g2`), b, bj and RoleSim keep a half plan, the pairs
-  * u ≤ v (P3). This is exact: each sweep maps symmetric scores to symmetric
-  * scores bit for bit, the weight-1 pass because score-1 pairs form whole
-  * class blocks (DESIGN.md §6). SimRank adds its cells in (a, b) order, so
-  * it is symmetric only to ~1e-16 and keeps the full plan.
+  * u ≤ v (P3), exact bit for bit (DESIGN.md §6). SimRank, which adds its
+  * cells in (a, b) order and so is symmetric only to ~1e-16, keeps the full plan.
   */
-final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Serializable {
-  // --- label machinery: intern labels, precompute the |Σ1| x |Σ2| L matrix
-  @transient private val sigma1 = g1.labels.distinct
-  @transient private val sigma2 = g2.labels.distinct
-  @transient private val l1 = g1.labels.map(sigma1.zipWithIndex.toMap)
-  @transient private val l2 = g2.labels.map(sigma2.zipWithIndex.toMap)
-  @transient private val lsim = Array.tabulate(sigma1.length, sigma2.length) { (a, b) =>
-    cfg.labelSim(sigma1(a), sigma2(b))
-  }
+final class FSimPlan private (g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig,
+                              hc: (PairIndex, Array[Double])) extends Serializable {
+  def this(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) = this(g1, g2, cfg, candidates(g1, g2, cfg))
 
-  @transient private lazy val scratch: ThreadLocal[Matching.Scratch] =
-    ThreadLocal.withInitial(() => new Matching.Scratch)
+  // Phase 1's H_c (hc), then phases 2, 3 and 4; phase 5, fsim0, runs in converge.
+  private[core] val index: PairIndex = hc._1
+  private val label: Array[Double] = hc._2
+  private val off: Array[Int] = countCells()
+  private val cellA, cellB, src = new Array[Int](off(2 * size)) // three arrays, written by fillCells
+  fillCells(cellA, cellB, src)
+  private val fixed: Array[Double] = bounds()
 
-  /** Per Σ1 label, the g2 nodes it may pair with (L ≥ θ), ascending. */
-  @transient private val eligible2: Array[Array[Int]] = Array.tabulate(sigma1.length) { a =>
-    java.util.stream.IntStream.range(0, g2.n).filter(y => lsim(a)(l2(y)) >= cfg.theta).toArray
-  }
-
-  private[core] val index = new PairIndex(l1, eligible2, g2.n,
-    half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant))
+  @transient private lazy val scratch = ThreadLocal.withInitial(() => new Matching.Scratch)
 
   /** Number of candidate pairs |H_c|, the length of the score vector. */
   def size: Int = index.size
 
-  private def parallel(n: Int)(body: Int => Unit): Unit =
-    java.util.stream.IntStream.range(0, n).parallel().forEach(i => body(i))
-
-  /** The eligible cells of s1 × s2, in (a, b) order: counted when `fill` is
-    * false, else also written from cell `at`, with src the slot of the cell's
-    * neighbour pair (every eligible neighbour pair is itself a candidate).
-    * Returns the count.
+  /** The number of eligible cells of s1 × s2; unless null, cellA, cellB and src (the neighbour
+    * pair's slot) get them in (a, b) order from cell `at`.
     */
-  private def sideCells(s1: Array[Int], s2: Array[Int], fill: Boolean, at: Int): Int = {
+  private def sideCells(s1: Array[Int], s2: Array[Int],
+                        cellA: Array[Int], cellB: Array[Int], src: Array[Int], at: Int): Int = {
     var c = at
     var a = 0
     while (a < s1.length) {
@@ -73,7 +62,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       var b = 0
       while (b < s2.length) {
         if (rank(s2(b)) >= 0) {
-          if (fill) { src(c) = index.slot(x, s2(b)); cellA(c) = a; cellB(c) = b }
+          if (src != null) { src(c) = index.slot(x, s2(b)); cellA(c) = a; cellB(c) = b }
           c += 1
         }
         b += 1
@@ -83,68 +72,56 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     c - at
   }
 
-  /** CSR offsets of the cells, per pair side, counted row by row. */
-  private val off: Array[Int] = {
+  /** Phase 2: the CSR offsets of the cells per pair side, counted in parallel row by row. */
+  private def countCells(): Array[Int] = {
     val counts = new Array[Int](2 * size)
-    parallel(g1.n)(u => for (p <- index.rowStart(u) until index.rowStart(u + 1)) {
+    inParallel(index.rowStart)((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
       val v = index.col(u, p)
-      counts(2 * p) = sideCells(g1.outAdj(u), g2.outAdj(v), fill = false, 0)
-      counts(2 * p + 1) = sideCells(g1.inAdj(u), g2.inAdj(v), fill = false, 0)
+      counts(2 * p) = sideCells(g1.outAdj(u), g2.outAdj(v), null, null, null, 0)
+      counts(2 * p + 1) = sideCells(g1.inAdj(u), g2.inAdj(v), null, null, null, 0)
     })
     offsets(counts)
   }
-  private val cellA = new Array[Int](off(2 * size))
-  private val cellB = new Array[Int](off(2 * size))
-  private val src = new Array[Int](off(2 * size))
 
-  /** The (1 − w⁺ − w⁻) term's L(u, v) per pair: L for the paper's variants
-    * (and so their FSim⁰), 0 for §4.3 SimRank, 1 for §4.3 RoleSim.
-    */
-  private val label = new Array[Double](size)
-
-  inParallel(cuts(localRanges)) { (lo, hi) =>
-    var u = index.rowOf(lo)
-    var p = lo
-    while (p < hi) {
-      while (p >= index.rowStart(u + 1)) u += 1
+  /** Phase 3: every pair side's cells, written from its offset, over the ranges of [[cuts]]. */
+  private def fillCells(cellA: Array[Int], cellB: Array[Int], src: Array[Int]): Unit =
+    inParallel(cuts(localRanges))((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
       val v = index.col(u, p)
-      sideCells(g1.outAdj(u), g2.outAdj(v), fill = true, off(2 * p))
-      sideCells(g1.inAdj(u), g2.inAdj(v), fill = true, off(2 * p + 1))
-      label(p) = cfg.variant match {
-        case Variant.SimRankCfg => 0.0
-        case Variant.RoleSimCfg => 1.0
-        case _ => lsim(l1(u))(l2(v))
-      }
-      p += 1
-    }
-  }
+      sideCells(g1.outAdj(u), g2.outAdj(v), cellA, cellB, src, off(2 * p))
+      sideCells(g1.inAdj(u), g2.inAdj(v), cellA, cellB, src, off(2 * p + 1))
+    })
 
-  /** Upper-bound updating (§3.4), null when off: per pair, NaN if its
-    * Eq.-6 bound is ≥ β (maintained), else its fixed score α·UB. The bounds
-    * of all of H_c are computed in parallel.
+  /** Phase 4, upper-bound updating (§3.4), null when off: per pair, NaN if its Eq.-6 bound is
+    * ≥ β (maintained), else its fixed score α·UB; one parallel pass over the ranges of [[cuts]].
     */
-  private val fixed: Array[Double] = cfg.ub match {
-    case None => null
-    case Some(ub) =>
-      val bounds = new Array[Double](size)
-      inParallel(cuts(localRanges))((lo, hi) => sweep(null, bounds, lo, hi, lo))
-      parallel(size)(p => bounds(p) = if (bounds(p) >= ub.beta) Double.NaN else ub.alpha * bounds(p))
-      bounds
-  }
-
-  /** FSim⁰ of pair p: its fixed score if pruned; min(d)/max(d) for §4.3
-    * RoleSim, with d the out-degree (the undirected degree on §4.3's
-    * undirected view); else label(p), i.e. L(u, v) for the paper's variants
-    * and 0 for §4.3 SimRank, whose maintained diagonal [[pin]] then sets to 1.
-    */
-  private def init(p: Int): Double =
-    if (!maintained(fixed, p)) fixed(p)
-    else if (cfg.variant != Variant.RoleSimCfg) label(p)
-    else {
-      val u = index.rowOf(p)
-      val (du, dv) = (g1.outAdj(u).length, g2.outAdj(index.col(u, p)).length)
-      if (math.max(du, dv) == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
+  private def bounds(): Array[Double] = cfg.ub.map { ub =>
+    val bounds = new Array[Double](size)
+    inParallel(cuts(localRanges)) { (lo, hi) =>
+      sweep(null, bounds, lo, hi, lo)
+      for (p <- lo until hi) bounds(p) = if (bounds(p) >= ub.beta) Double.NaN else ub.alpha * bounds(p)
     }
+    bounds
+  }.orNull
+
+  /** Phase 5, run by each [[converge]], whose loop overwrites it: FSim⁰ per pair. Its fixed
+    * score if pruned; for §4.3 RoleSim min(d)/max(d) of the out-degrees (undirected on §4.3's
+    * view), or 1 when both are 0; else label(p): L(u, v) for the paper's variants, 0 for §4.3
+    * SimRank, whose maintained diagonal [[pin]] then sets to 1.
+    */
+  private def fsim0(): Array[Double] = {
+    val scores = new Array[Double](size)
+    inParallel(cuts(localRanges))((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
+      scores(p) =
+        if (!maintained(fixed, p)) fixed(p)
+        else if (cfg.variant != Variant.RoleSimCfg) label(p)
+        else {
+          val (du, dv) = (g1.outAdj(u).length, g2.outAdj(index.col(u, p)).length)
+          if (math.max(du, dv) == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
+        }
+    })
+    if (cfg.variant == Variant.SimRankCfg) pin(scores)
+    scores
+  }
 
   /** One side term of Eq. 3: Mχ over cells lo until hi, weighted by the
     * previous scores `prev` (or 1 each when `prev` is null), over Ωχ.
@@ -222,19 +199,15 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     * score vector through the plan's [[PairIndex]].
     */
   def converge(sweep: (Array[Double], Array[Double]) => Unit): FSimResult = {
-    var prev = new Array[Double](size)
-    parallel(size)(p => prev(p) = init(p))
+    var prev = fsim0()
     var next = new Array[Double](size)
-    val simRank = cfg.variant == Variant.SimRankCfg
-    if (simRank) pin(prev)
-
     val cap = cfg.exactIters.getOrElse(math.min(MaxIters, cfg.iterationBound.toLong + 1).toInt)
     var iter = 0
     var delta = Double.MaxValue
     var done = false
     while (!done && iter < cap) {
       sweep(prev, next)
-      if (simRank) pin(next)
+      if (cfg.variant == Variant.SimRankCfg) pin(next)
       delta = 0.0
       var j = 0
       while (j < size) {
@@ -257,6 +230,24 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 }
 
 private object FSimPlan {
+
+  /** Phase 1: the label matrix, the [[PairIndex]] of H_c's L ≥ θ pairs (half on G1 = G2 for b, bj
+    * and RoleSim) and per pair the label term: L(u, v), or 0 for §4.3 SimRank, 1 for RoleSim.
+    */
+  def candidates(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig): (PairIndex, Array[Double]) = {
+    val (sigma1, sigma2) = (g1.labels.distinct, g2.labels.distinct)
+    val (l1, l2) = (g1.labels.map(sigma1.zipWithIndex.toMap), g2.labels.map(sigma2.zipWithIndex.toMap))
+    val lsim = Array.tabulate(sigma1.length, sigma2.length)((a, b) => cfg.labelSim(sigma1(a), sigma2(b)))
+    val eligible2 = lsim.map(l => IntStream.range(0, g2.n).filter(y => l(l2(y)) >= cfg.theta).toArray)
+    val index = new PairIndex(l1, eligible2, g2.n,
+      half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant))
+    val label = new Array[Double](index.size)
+    if (cfg.variant == Variant.RoleSimCfg) java.util.Arrays.fill(label, 1.0)
+    else if (cfg.variant != Variant.SimRankCfg) inParallel(index.rowStart) { (lo, hi) =>
+      index.foreachSlot(lo, hi)((u, p) => label(p) = lsim(l1(u))(l2(index.col(u, p))))
+    }
+    (index, label)
+  }
 
   /** Iteration cap of a run to ε (Corollary 1 bounds the need). */
   final val MaxIters = 100
@@ -290,7 +281,7 @@ private object FSimPlan {
 
   /** Runs body(c(i), c(i + 1)) for every range of the cuts `c`, in parallel. */
   def inParallel(c: Array[Int])(body: (Int, Int) => Unit): Unit =
-    java.util.stream.IntStream.range(0, c.length - 1).parallel().forEach(i => body(c(i), c(i + 1)))
+    IntStream.range(0, c.length - 1).parallel().forEach(i => body(c(i), c(i + 1)))
 }
 
 /** The one map from a pair to its score-vector slot and back, which
@@ -329,13 +320,21 @@ private[repro] final class PairIndex(l1: Array[Int], eligible2: Array[Array[Int]
   /** The g2 nodes u may pair with, ascending, mirrors of a half plan included. */
   def row(u: Int): Array[Int] = eligible2(l1(u))
 
-  /** The row u of slot p, by binary search for the last row starting at or before p (rows may be
-    * empty). A run of slots starts a cursor here and advances it while p ≥ rowStart(u + 1).
-    */
+  /** The row u of slot p: the last row starting at or before p (rows may be empty), by binary search. */
   def rowOf(p: Int): Int = {
     var lo = 0; var hi = n1
     while (lo < hi) { val mid = (lo + hi + 1) >>> 1; if (rowStart(mid) <= p) lo = mid else hi = mid - 1 }
     lo
+  }
+
+  /** Runs body(u, p) for the slots p of lo until hi in order, u p's row: one [[rowOf]], then a cursor. */
+  def foreachSlot(lo: Int, hi: Int)(body: (Int, Int) => Unit): Unit = {
+    var u = rowOf(lo); var p = lo
+    while (p < hi) {
+      while (p >= rowStart(u + 1)) u += 1
+      body(u, p)
+      p += 1
+    }
   }
 
   /** The g2 node v of slot p in row u, so that slot(u, v) == p. */

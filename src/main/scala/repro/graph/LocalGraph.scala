@@ -8,7 +8,7 @@ import scala.util.Random
   *
   * This is the substrate every exact algorithm (exact χ-simulation, strong
   * simulation, the pattern-matching/alignment baselines) runs on, and the
-  * canonical form the Spark engine converts from/to via [[GraphFrames]].
+  * input of both FSimχ engines; `FSimSpark`'s frame overload builds it with [[GraphFrames.toLocal]].
   *
   * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays.
   * `duplicateEdges` counts the repeated edges [[LocalGraph.fromEdges]]
@@ -163,11 +163,12 @@ object LocalGraph {
 
   /** Build from a label array and an edge list. Duplicate edges are dropped
     * (the paper's graphs are simple digraphs) and counted in
-    * `duplicateEdges`; self-loops are kept. Throws
-    * IllegalArgumentException if an endpoint is not a node id 0..n-1.
+    * `duplicateEdges`; self-loops are kept. Throws IllegalArgumentException
+    * on a null label or on an endpoint that is not a node id 0..n-1.
     */
   def fromEdges(labels: Array[String], edges: Seq[(Int, Int)]): LocalGraph = {
     val n = labels.length
+    require(!labels.contains(null), s"node ${labels.indexOf(null)} has a null label")
     for ((u, v) <- edges)
       require(u >= 0 && u < n && v >= 0 && v < n,
         s"edge ($u, $v) has an endpoint outside the node ids 0..${n - 1}")

@@ -213,11 +213,12 @@ class FSimLocalSpec extends AnyFunSuite {
     assert(cfg(Variant.BJ).copy(exactIters = Some(0)).exactIters === Some(0))
   }
 
-  /** Two labelled digraphs of at most 12 nodes with 1–3 labels, self-loops
-    * and isolated nodes allowed; G2 is G1 half the time, so exact
-    * simulations (score 1) occur.
+  /** Two labelled digraphs of at most 12 nodes with 1–3 labels, self-loops,
+    * isolated nodes and repeated input edges allowed, and a paper variant at
+    * θ ∈ {0, 1} with ε = 1e-8; G2 is G1 half the time, so exact simulations
+    * (score 1) occur.
     */
-  private val ubCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = {
+  private val paperCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = {
     val graph = for {
       n <- Gen.choose(1, 12)
       m <- Gen.choose(0, 3 * n)
@@ -230,8 +231,46 @@ class FSimLocalSpec extends AnyFunSuite {
       g2 <- Gen.oneOf(Gen.const(g1), graph)
       variant <- Gen.oneOf(Variant.paper)
       theta <- Gen.oneOf(0.0, 1.0)
-      beta <- Gen.oneOf(0.5, 1.0)
-    } yield (g1, g2, cfg(variant).copy(theta = theta, ub = Some(UbConfig(alpha = 0.0, beta = beta))))
+    } yield (g1, g2, cfg(variant).copy(theta = theta))
+  }
+
+  /** A [[paperCase]] with upper-bound updating, UbConfig(0, β) for β ∈ {0.5, 1}. */
+  private val ubCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = paperCase.flatMap { case (g1, g2, c) =>
+    Gen.oneOf(0.5, 1.0).map(beta => (g1, g2, c.copy(ub = Some(UbConfig(alpha = 0.0, beta = beta)))))
+  }
+
+  /** Checks `prop` on 300 cases of a fixed seed, one worker. */
+  private def check(prop: Prop): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("P1 over generated graphs: every score lies in [0, 1]") {
+    val drawn = collection.mutable.Set[(Variant, Double)]()
+    check(Prop.forAll(paperCase) { case (g1, g2, c) =>
+      drawn += ((c.variant, c.theta))
+      FSimLocal.compute(g1, g2, c).pairs.forall { case (_, _, s) => s >= 0.0 && s <= 1.0 }
+    })
+    assert(drawn.size === 8, s"not every paper variant at θ = 0 and θ = 1: $drawn")
+  }
+
+  test("P2 over generated graphs: score ≥ 1 − 1e-6 exactly on the exact χ-simulation") {
+    val drawn = collection.mutable.Set[(Variant, Double)]()
+    var ones = 0
+    check(Prop.forAll(paperCase) { case (g1, g2, c) =>
+      drawn += ((c.variant, c.theta))
+      val exact = ExactSimulation.relation(g1, g2, c.variant)
+      val res = FSimLocal.compute(g1, g2, c)
+      (0 until g1.n).forall(u => (0 until g2.n).forall { v =>
+        val isOne = res.score(u, v) >= 1.0 - OneTol
+        if (isOne) ones += 1
+        isOne == exact(u).get(v)
+      })
+    })
+    assert(drawn.size === 8, s"not every paper variant at θ = 0 and θ = 1: $drawn")
+    assert(ones > 0, "no pair scores 1")
   }
 
   test("ub pruning never removes or lowers a pair that scores 1 without bounds") {
@@ -245,10 +284,7 @@ class FSimLocalSpec extends AnyFunSuite {
           kept((u, v)) && ub.score(u, v) >= s - 1e-12
       }
     }
-    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
-      .withInitialSeed(Seed(20210419L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(result))
+    check(prop)
     assert(ones > 0, "no pair scores 1")
   }
 
@@ -265,10 +301,7 @@ class FSimLocalSpec extends AnyFunSuite {
         }
       }
     }
-    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
-      .withInitialSeed(Seed(20210419L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(result))
+    check(prop)
     assert(drawn.size === 8, s"not every paper variant at θ = 0 and θ = 1: $drawn")
     assert(checked > 0, "no maintained pair")
   }
@@ -390,10 +423,7 @@ class FSimLocalSpec extends AnyFunSuite {
           range.isEmpty || range.map(plan.cost).sum <= cap + range.map(plan.cost).max
         }
     }
-    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
-      .withInitialSeed(Seed(20210419L))
-    val result = Test.check(params, prop)
-    assert(result.passed, Pretty.pretty(result))
+    check(prop)
     assert(empty > 0 && fewerThanK > 0, s"empty plans: $empty, size < k: $fewerThanK")
   }
 }

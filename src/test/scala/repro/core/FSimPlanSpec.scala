@@ -171,6 +171,33 @@ class FSimPlanSpec extends AnyFunSuite {
       s"half plans: $halves, overlapping eligible lists: $overlaps, empty eligible lists: $empties")
   }
 
+  test("FSim⁰: zero iterations give L(u, v), RoleSim's degree ratio or SimRank's identity per maintained pair") {
+    var halves, fulls, bounded = 0
+    val variants = scala.collection.mutable.Set.empty[Variant]
+    val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
+      val res = FSimLocal.compute(g1, g2, c.copy(exactIters = Some(0)))
+      if ((g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(c.variant)) halves += 1 else fulls += 1
+      if (c.ub.isDefined && res.numPairs > 0) bounded += 1
+      variants += c.variant
+      res.iterations == 0 && res.pairs.forall { case (u, v, s) =>
+        val want = c.variant match {
+          case Variant.SimRankCfg => if (u == v) 1.0 else 0.0
+          case Variant.RoleSimCfg =>
+            val (du, dv) = (g1.outAdj(u).length, g2.outAdj(v).length)
+            if (du == 0 && dv == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
+          case _ => c.labelSim(g1.labels(u), g2.labels(v))
+        }
+        s == want
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(halves > 0 && fulls > 0 && bounded > 0 && variants.size == 6,
+      s"half plans: $halves, full plans: $fulls, bounded: $bounded, variants: $variants")
+  }
+
   test("result lookup: score(u, v) reads what pairs gives, pairs walk the L ≥ θ pairs in (u, v) order") {
     var halves, fulls, bounded, unbounded, pruned = 0
     val thetas = scala.collection.mutable.Set.empty[Double]

@@ -23,6 +23,10 @@ class LocalGraphSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](LocalGraph.fromEdges(Array("a", "b", "c", "a"), Seq((0, 1), e)))
   }
 
+  test("fromEdges rejects a null label") {
+    intercept[IllegalArgumentException](LocalGraph.fromEdges(Array("a", null), Nil))
+  }
+
   test("degree and label statistics") {
     assert(g.n === 4)
     assert(g.labelSet === Set("a", "b", "c"))
