@@ -88,8 +88,7 @@ final class GsanaAligner extends Aligner {
     val top1 = (0 until g1.n).sortBy(u => -(g1.outDeg(u) + g1.inDeg(u))).take(numAnchors)
     val usedAnchors = mutable.HashSet[Int]()
     val anchorPairs = top1.flatMap { u =>
-      val cands = (0 until g2.n).filter(v =>
-        g2.labels(v) == g1.labels(u) && !usedAnchors.contains(v))
+      val cands = g2.nodesLabelled(g1.labels(u)).filterNot(usedAnchors.contains)
       if (cands.isEmpty) None
       else {
         val v = cands.minBy(v => math.abs((g2.outDeg(v) + g2.inDeg(v)) - (g1.outDeg(u) + g1.inDeg(u))))
@@ -104,13 +103,12 @@ final class GsanaAligner extends Aligner {
     def vec(ds: Array[Array[Int]], u: Int): Array[Int] =
       ds.map(d => if (d(u) < 0) 99 else math.min(d(u), 99))
 
-    val byLabel2 = (0 until g2.n).groupBy(g2.labels(_))
     val used = mutable.HashSet[Int]()
     // greedy one-to-one: most distinctive (rarest-label) first
-    val order = (0 until g1.n).sortBy(u => byLabel2.getOrElse(g1.labels(u), Seq.empty).size)
+    val order = (0 until g1.n).sortBy(u => g2.nodesLabelled(g1.labels(u)).length)
     order.flatMap { u =>
       val vu = vec(d1, u)
-      val cands = byLabel2.getOrElse(g1.labels(u), Seq.empty).filterNot(used.contains)
+      val cands = g2.nodesLabelled(g1.labels(u)).filterNot(used.contains)
       if (cands.isEmpty) None
       else {
         val v = cands.minBy(v => vec(d2, v).zip(vu).map { case (a, b) => math.abs(a - b) }.sum)
@@ -132,14 +130,9 @@ final class FinalAligner extends Aligner {
   private val iters = 8
   def align(g1: LocalGraph, g2: LocalGraph): Map[Int, Seq[Int]] = {
     // candidate pairs: same label, slots in (u, v) order
-    val sigma1 = g1.labels.distinct
-    val byLabel2 = (0 until g2.n).groupBy(g2.labels(_))
-    val index = new PairIndex(g1.labels.map(sigma1.zipWithIndex.toMap),
-      sigma1.map(a => byLabel2.getOrElse(a, Seq.empty).toArray), g2.n, half = false)
+    val index = new PairIndex(g1.labelId, g1.sigma.map(g2.nodesLabelled).toArray, g2.n, half = false)
     var prev = Array.fill(index.size)(1.0)
     var next = new Array[Double](index.size)
-    val und1 = Array.tabulate(g1.n)(g1.undirectedNeighbors)
-    val und2 = Array.tabulate(g2.n)(g2.undirectedNeighbors)
 
     def get(scores: Array[Double], x: Int, y: Int): Double =
       if (index.ranks(x)(y) >= 0) scores(index.slot(x, y)) else 0.0
@@ -147,7 +140,7 @@ final class FinalAligner extends Aligner {
     for (_ <- 1 to iters) {
       java.util.stream.IntStream.range(0, index.size).parallel().forEach { i =>
         val u = index.rowOf(i); val v = index.col(u, i)
-        val nu = und1(u); val nv = und2(v)
+        val nu = g1.undirectedNeighbors(u); val nv = g2.undirectedNeighbors(v)
         val structural =
           if (nu.isEmpty || nv.isEmpty) 0.0
           else {
@@ -155,7 +148,7 @@ final class FinalAligner extends Aligner {
             // weight of (x,y) -> (u,v) is 1/sqrt(d(u)d(v)d(x)d(y)).
             var s = 0.0
             for (x <- nu; y <- nv) {
-              val dxy = und1(x).length.toDouble * und2(y).length
+              val dxy = g1.undirectedNeighbors(x).length.toDouble * g2.undirectedNeighbors(y).length
               if (dxy > 0) s += get(prev, x, y) / math.sqrt(dxy)
             }
             s / math.sqrt(nu.length.toDouble * nv.length)
@@ -203,10 +196,9 @@ final class EwsAligner extends Aligner {
     val common = math.min(g1.n, g2.n)
     // seeds are noisy, as in the original's problem setting: a fraction maps
     // to a wrong same-label node
-    val byLabel2 = (0 until g2.n).groupBy(g2.labels(_))
     val seeds = rnd.shuffle((0 until common).toList).take(numSeeds).map { u =>
       if (rnd.nextDouble() < wrongSeedFrac) {
-        val cands = byLabel2.getOrElse(g1.labels(u), Seq(u)).filterNot(_ == u)
+        val cands = g2.nodesLabelled(g1.labels(u)).filterNot(_ == u)
         (u, if (cands.isEmpty) u else cands(rnd.nextInt(cands.size)))
       } else (u, u)
     }

@@ -18,7 +18,7 @@ object ExactSimulation {
     require(Variant.paper.contains(variant), s"exact simulation defined for s/dp/b/bj only")
     val n1 = g1.n; val n2 = g2.n
     val r = Array.fill(n1)(new java.util.BitSet(n2))
-    for (u <- 0 until n1; v <- 0 until n2 if g1.labels(u) == g2.labels(v)) r(u).set(v)
+    for (u <- 0 until n1; v <- g2.nodesLabelled(g1.labels(u))) r(u).set(v)
 
     var changed = true
     while (changed) {

@@ -235,8 +235,7 @@ private object FSimPlan {
     * and RoleSim) and per pair the label term: L(u, v), or 0 for §4.3 SimRank, 1 for RoleSim.
     */
   def candidates(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig): (PairIndex, Array[Double]) = {
-    val (sigma1, sigma2) = (g1.labels.distinct, g2.labels.distinct)
-    val (l1, l2) = (g1.labels.map(sigma1.zipWithIndex.toMap), g2.labels.map(sigma2.zipWithIndex.toMap))
+    val (sigma1, sigma2, l1, l2) = (g1.sigma, g2.sigma, g1.labelId, g2.labelId)
     val lsim = Array.tabulate(sigma1.length, sigma2.length)((a, b) => cfg.labelSim(sigma1(a), sigma2(b)))
     val eligible2 = lsim.map(l => IntStream.range(0, g2.n).filter(y => l(l2(y)) >= cfg.theta).toArray)
     val index = new PairIndex(l1, eligible2, g2.n,

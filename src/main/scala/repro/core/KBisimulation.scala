@@ -12,16 +12,12 @@ object KBisimulation {
 
   /** class ids after k refinements: sig(k)(u) == sig(k)(v) ⇔ u,v k-bisimilar. */
   def classes(g: LocalGraph, k: Int): Array[Int] = {
-    val labelClass: Array[Int] = {
-      val ids = collection.mutable.HashMap.empty[String, Int]
-      g.labels.map(l => ids.getOrElseUpdate(l, ids.size))
-    }
-    var cls = labelClass
+    var cls = g.labelId
     for (_ <- 1 to k) {
       val ids = collection.mutable.HashMap.empty[(Int, Set[Int]), Int]
       cls = Array.tabulate(g.n) { u =>
         // label class (= round-0 class) + set of neighbor classes, per [21]
-        val key = (labelClass(u), g.outAdj(u).map(cls).toSet)
+        val key = (g.labelId(u), g.outAdj(u).map(cls).toSet)
         ids.getOrElseUpdate(key, ids.size)
       }
     }

@@ -29,7 +29,7 @@ object Table4 {
   def row(name: String, g: LocalGraph): Row = {
     def maxLen(adj: Array[Array[Int]]): Long = adj.iterator.map(_.length.toLong).maxOption.getOrElse(0L)
     val d = BigDecimal(g.m.toDouble / g.n).setScale(2, BigDecimal.RoundingMode.HALF_UP).toDouble
-    Row(name, g.m, g.n.toLong, g.labelSet.size.toLong, d, maxLen(g.outAdj), maxLen(g.inAdj))
+    Row(name, g.m, g.n.toLong, g.sigma.length.toLong, d, maxLen(g.outAdj), maxLen(g.inAdj))
   }
 
   def compute(): Seq[Row] =

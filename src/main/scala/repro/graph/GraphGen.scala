@@ -77,29 +77,13 @@ object GraphGen {
       if (cfg.hierarchicalLabels) hierarchicalAlphabet(cfg.numLabels, rnd)
       else flatAlphabet(cfg.numLabels)
     // zipf label assignment: label rank r has weight 1/(r+1)^0.8
-    val labelWeights = Array.tabulate(cfg.numLabels)(r => 1.0 / math.pow(r + 1, 0.8))
-    val labelCum = labelWeights.scanLeft(0.0)(_ + _).tail
-    val labelTotal = labelCum.last
-    def drawLabel(): String = {
-      val x = rnd.nextDouble() * labelTotal
-      var lo = 0; var hi = cfg.numLabels - 1
-      while (lo < hi) { val mid = (lo + hi) / 2; if (labelCum(mid) < x) lo = mid + 1 else hi = mid }
-      sigma(lo)
-    }
-    val labels = Array.fill(n)(drawLabel())
+    val labelRank = zipf(cfg.numLabels, 0.8, rnd)
+    val labels = Array.fill(n)(sigma(labelRank()))
 
     // node weights for endpoint draws: w(u) = 1/(rank+1)^skew
-    val nodeCum = new Array[Double](n)
-    var acc = 0.0
-    var i = 0
-    while (i < n) { acc += 1.0 / math.pow(i + 1, cfg.skew); nodeCum(i) = acc; i += 1 }
+    val nodeRank = zipf(n, cfg.skew, rnd)
     val perm = rnd.shuffle((0 until n).toVector).toArray // decouple id from rank
-    def drawNode(): Int = {
-      val x = rnd.nextDouble() * acc
-      var lo = 0; var hi = n - 1
-      while (lo < hi) { val mid = (lo + hi) / 2; if (nodeCum(mid) < x) lo = mid + 1 else hi = mid }
-      perm(lo)
-    }
+    def drawNode(): Int = perm(nodeRank())
 
     val seen = mutable.HashSet[Long]()
     val edges = mutable.ArrayBuffer[(Int, Int)]()
@@ -112,6 +96,19 @@ object GraphGen {
       guard += 1
     }
     LocalGraph.fromEdges(labels, edges.toSeq)
+  }
+
+  /** Draws a rank r in 0 until k with probability ∝ 1/(r+1)^s: one nextDouble of `rnd`,
+    * scaled by the total weight and binary-searched in the running sums (summed in rank order).
+    */
+  private def zipf(k: Int, s: Double, rnd: Random): () => Int = {
+    val cum = Array.tabulate(k)(r => 1.0 / math.pow(r + 1, s)).scanLeft(0.0)(_ + _) // cum(r + 1): ranks 0..r
+    () => {
+      val x = rnd.nextDouble() * cum(k)
+      var lo = 0; var hi = k - 1
+      while (lo < hi) { val mid = (lo + hi) / 2; if (cum(mid + 1) < x) lo = mid + 1 else hi = mid }
+      lo
+    }
   }
 
   /** Amazon-like co-purchase graph for the Table-6 pattern-matching study:

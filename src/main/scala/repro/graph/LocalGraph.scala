@@ -10,7 +10,9 @@ import scala.util.Random
   * simulation, the pattern-matching/alignment baselines) runs on, and the
   * input of both FSimχ engines; `FSimSpark`'s frame overload builds it with [[GraphFrames.toLocal]].
   *
-  * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays.
+  * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays. The
+  * label views (Σ, label ids, label buckets) and the undirected neighbours
+  * are built once per graph, on first use, and are not serialised.
   * `duplicateEdges` counts the repeated edges [[LocalGraph.fromEdges]]
   * dropped; a graph not built from an edge list has 0.
   */
@@ -30,8 +32,22 @@ final class LocalGraph(
   def outDeg(u: Int): Int = outAdj(u).length
   def inDeg(u: Int): Int  = inAdj(u).length
 
-  /** Distinct labels of the graph (Σ). */
-  lazy val labelSet: Set[String] = labels.toSet
+  /** Σ: the distinct labels, in first-occurrence order. */
+  @transient lazy val sigma: IndexedSeq[String] = labels.distinct.toIndexedSeq
+  @transient private lazy val idOf: Map[String, Int] = sigma.zipWithIndex.toMap
+
+  /** Each node's label as an index into [[sigma]]. */
+  @transient lazy val labelId: Array[Int] = labels.map(idOf)
+
+  /** byId(a): the nodes labelled sigma(a), ascending. */
+  @transient private lazy val byId: Array[Array[Int]] = {
+    val b = Array.fill(sigma.length)(Array.newBuilder[Int])
+    for (u <- 0 until n) b(labelId(u)) += u
+    b.map(_.result())
+  }
+
+  /** The nodes labelled `l`, ascending; empty if no node is. */
+  def nodesLabelled(l: String): Array[Int] = idOf.get(l).fold(Array.emptyIntArray)(byId(_))
 
   /** All edges as (src, dst) pairs. */
   def edges: Iterator[(Int, Int)] =
@@ -40,9 +56,10 @@ final class LocalGraph(
   def hasEdge(u: Int, v: Int): Boolean =
     java.util.Arrays.binarySearch(outAdj(u), v) >= 0
 
-  /** Undirected neighbors (used by RoleSim / WL-test adaptations, §4.3). */
-  def undirectedNeighbors(u: Int): Array[Int] =
-    (outAdj(u) ++ inAdj(u)).distinct.sorted
+  @transient private lazy val undirected = Array.tabulate(n)(u => (outAdj(u) ++ inAdj(u)).distinct.sorted)
+
+  /** Undirected neighbors, ascending (used by RoleSim / WL-test adaptations, §4.3). */
+  def undirectedNeighbors(u: Int): Array[Int] = undirected(u)
 
   /** Undirected shortest-path distance from `src` to every node, by BFS:
     * -1 for nodes that are unreachable or farther than `radius`.

@@ -120,14 +120,11 @@ final class FSimMatcher(variant: Variant) extends SeedExpandMatcher {
 final class NagaMatcher extends SeedExpandMatcher {
   val name = "NAGA"
 
-  override protected def candidates(query: LocalGraph, data: LocalGraph, q: Int): Option[Array[Int]] = {
-    Some((0 until data.n).filter(v => data.labels(v) == query.labels(q)).toArray)
-  }
+  override protected def candidates(query: LocalGraph, data: LocalGraph, q: Int): Option[Array[Int]] =
+    Some(data.nodesLabelled(query.labels(q)))
 
   protected def scores(query: LocalGraph, data: LocalGraph): (Int, Int) => Double = {
-    val n = data.n
-    val labelFreq: Map[String, Double] =
-      data.labels.groupBy(identity).view.mapValues(_.length.toDouble / n).toMap
+    def labelFreq(l: String): Double = data.nodesLabelled(l).length match { case 0 => 1e-6; case c => c.toDouble / data.n }
     (q, v) => {
       if (data.labels(v) != query.labels(q)) -1.0
       else {
@@ -137,7 +134,7 @@ final class NagaMatcher extends SeedExpandMatcher {
         var chi = 0.0
         for ((l, oq) <- qNbr) {
           val observed = math.min(oq, vNbr.getOrElse(l, 0)).toDouble
-          val expected = math.max(1e-6, dv * labelFreq.getOrElse(l, 1e-6))
+          val expected = math.max(1e-6, dv * labelFreq(l))
           chi += (observed - expected) * (observed - expected) / expected * (if (observed > 0) 1 else -1)
         }
         chi

@@ -29,9 +29,7 @@ final class TSpanMatcher(maxMissEdges: Int) extends Matcher {
 
   private def search(query: LocalGraph, data: LocalGraph, maxMiss: Int): Map[Int, Int] = {
     val nQ = query.n
-    val candidates: Array[Array[Int]] = Array.tabulate(nQ) { q =>
-      (0 until data.n).filter(v => data.labels(v) == query.labels(q)).toArray
-    }
+    val candidates = Array.tabulate(nQ)(q => data.nodesLabelled(query.labels(q)))
     if (candidates.exists(_.isEmpty)) return Map.empty
 
     // Order: start at the rarest-label node, then expand connectivity-first.

@@ -239,6 +239,21 @@ class FSimLocalSpec extends AnyFunSuite {
     Gen.oneOf(0.5, 1.0).map(beta => (g1, g2, c.copy(ub = Some(UbConfig(alpha = 0.0, beta = beta)))))
   }
 
+  /** A [[paperCase]] turned to s or b, with w⁺ + w⁻ drawn up to 0.95 (0.01 and
+    * 0.95 themselves half the time), either weight possibly 0, and
+    * ε ∈ {1e-2, 1e-4, 1e-6}; kept when the Corollary-1 cap iterationBound + 1
+    * is within the engine's cap of 100 iterations.
+    */
+  private val contractingCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = for {
+    (g1, g2, c) <- paperCase
+    variant <- Gen.oneOf(Variant.S, Variant.B)
+    sum <- Gen.oneOf(Gen.choose(0.01, 0.95), Gen.oneOf(0.01, 0.95))
+    share <- Gen.oneOf(Gen.choose(0.0, 1.0), Gen.oneOf(0.0, 1.0))
+    epsilon <- Gen.oneOf(1e-2, 1e-4, 1e-6)
+    drawn = c.copy(variant = variant, wPlus = sum * share, wMinus = sum - sum * share, epsilon = epsilon)
+    if drawn.iterationBound < FSimPlan.MaxIters
+  } yield (g1, g2, drawn)
+
   /** Checks `prop` on 300 cases of a fixed seed, one worker. */
   private def check(prop: Prop): Unit = {
     val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
@@ -271,6 +286,29 @@ class FSimLocalSpec extends AnyFunSuite {
     })
     assert(drawn.size === 8, s"not every paper variant at θ = 0 and θ = 1: $drawn")
     assert(ones > 0, "no pair scores 1")
+  }
+
+  test("Corollary 1 over generated graphs: s and b reach max |Δ| < ε within iterationBound + 1 sweeps") {
+    val drawn = collection.mutable.Set[(Variant, Double)]()
+    check(Prop.forAll(contractingCase) { case (g1, g2, c) =>
+      drawn += ((c.variant, c.epsilon))
+      val res = FSimLocal.compute(g1, g2, c)
+      res.iterations <= c.iterationBound + 1 && res.finalDelta < c.epsilon
+    })
+    assert(drawn.size === 6, s"not every (variant, ε) was drawn: $drawn")
+  }
+
+  test("Corollary 1 fails for dp: a 3-node pair still moves by ≥ ε at iterationBound + 1") {
+    // Greedy matching is not 1-Lipschitz in its weights, so dp's update need
+    // not contract: this run settles into a period-2 cycle with max |Δ| ≈ 0.0277
+    // (DESIGN.md §5). s converges on the same pair in one sweep.
+    val g1 = LocalGraph.fromEdges(Array("l0", "l0", "l0"), Seq((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)))
+    val g2 = LocalGraph.fromEdges(Array("l0", "l0", "l0"), Seq((0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1)))
+    val c = FSimConfig(Variant.DP, wPlus = 0.4, wMinus = 0.4, theta = 1.0, epsilon = 0.01)
+    val res = FSimLocal.compute(g1, g2, c)
+    assert(res.iterations === c.iterationBound + 1)
+    assert(res.finalDelta >= c.epsilon)
+    assert(FSimLocal.compute(g1, g2, c.copy(variant = Variant.S)).finalDelta < c.epsilon)
   }
 
   test("ub pruning never removes or lowers a pair that scores 1 without bounds") {

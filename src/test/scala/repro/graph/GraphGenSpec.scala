@@ -10,8 +10,8 @@ class GraphGenSpec extends AnyFunSuite {
       assert(g.n === cfg.nodes)
       assert(g.m >= cfg.edges * 0.9, s"edges ${g.m} vs ${cfg.edges}")
       assert(g.m <= cfg.edges)
-      assert(g.labelSet.size <= cfg.numLabels)
-      assert(g.labelSet.size >= math.min(cfg.numLabels, 8) / 2)
+      assert(g.sigma.length <= cfg.numLabels)
+      assert(g.sigma.length >= math.min(cfg.numLabels, 8) / 2)
     }
     test(s"datasetLike(${cfg.name}): deterministic in seed") {
       val a = GraphGen.generate(cfg, 42L); val b = GraphGen.generate(cfg, 42L)
@@ -29,7 +29,7 @@ class GraphGenSpec extends AnyFunSuite {
   test("amazonLike: out-degree capped at 5, 82 labels, avg degree ~3") {
     val g = GraphGen.amazonLike(4000)
     assert((0 until g.n).map(g.outDeg).max <= 5)
-    assert(g.labelSet.size === 82)
+    assert(g.sigma.length === 82)
     assert(g.m.toDouble / g.n > 1.5 && g.m.toDouble / g.n < 4.0)
   }
 
@@ -101,7 +101,7 @@ class GraphGenSpec extends AnyFunSuite {
       assert(vs.g1.labels(u) === vs.g3.labels(u))
       assert(vs.g2.labels(u) === vs.g3.labels(u))
     }
-    assert(vs.g3.labelSet.size === 8)
+    assert(vs.g3.sigma.length === 8)
   }
 
   test("rdf versions: churn keeps most edges shared") {

@@ -1,5 +1,9 @@
 package repro.graph
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.TestGraphs
@@ -29,7 +33,7 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("degree and label statistics") {
     assert(g.n === 4)
-    assert(g.labelSet === Set("a", "b", "c"))
+    assert(g.sigma === Seq("a", "b", "c"))
     assert((0 until g.n).map(g.outDeg).max === 1)
     assert((0 until g.n).map(g.inDeg).max === 1)
     assert(math.abs(g.m.toDouble / g.n - 0.75) < 1e-12)
@@ -104,12 +108,48 @@ class LocalGraphSpec extends AnyFunSuite {
     }
     test(s"withPerturbedLabels changes exactly k labels, seed $seed") {
       val base = TestGraphs.uniform(20, 40, 4, seed)
-      val sigma = base.labelSet.toIndexedSeq
+      val sigma = base.sigma
       val noisy = base.withPerturbedLabels(5, sigma, new Random(seed))
       val changed = (0 until base.n).count(i => base.labels(i) != noisy.labels(i))
       assert(changed === 5)
       assert(noisy.m === base.m)
     }
+  }
+
+  /** Labelled digraphs of 0–12 nodes over 1–4 labels; self-loops, isolated
+    * nodes and repeated input edges allowed.
+    */
+  private val graphs: Gen[LocalGraph] = for {
+    n <- Gen.choose(0, 12)
+    edges <- if (n == 0) Gen.const(Nil) else Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    labels <- Gen.listOfN(n, Gen.oneOf("a", "b", "c", "d"))
+  } yield LocalGraph.fromEdges(labels.toArray, edges)
+
+  /** Σ, the label ids, the label buckets (of Σ and of one absent label) and the undirected neighbours. */
+  private def views(g: LocalGraph) = (g.sigma, g.labelId.toSeq, (g.sigma :+ "absent").map(g.nodesLabelled(_).toSeq),
+    (0 until g.n).map(g.undirectedNeighbors(_).toSeq))
+
+  private def serialise(g: LocalGraph): Array[Byte] = {
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(g); out.close()
+    bytes.toByteArray
+  }
+
+  test("label views and undirected neighbours equal brute force, and are not serialised") {
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1).withInitialSeed(Seed(17L))
+    val result = Test.check(params, Prop.forAll(graphs) { g =>
+      val unread = serialise(g)
+      val sigma = g.labels.foldLeft(Vector.empty[String])((s, l) => if (s.contains(l)) s else s :+ l)
+      val brute = (sigma, g.labels.toSeq.map(sigma.indexOf(_)),
+        (sigma :+ "absent").map(l => (0 until g.n).filter(g.labels(_) == l)),
+        (0 until g.n).map(u => (0 until g.n).filter(v => g.hasEdge(u, v) || g.hasEdge(v, u))))
+      val read = views(g)
+      val bytes = serialise(g)
+      val copy = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[LocalGraph]
+      read == brute && (bytes sameElements unread) && views(copy) == read
+    })
+    assert(result.passed, Pretty.pretty(result))
   }
 
   test("empty graph edge cases") {
