@@ -138,22 +138,25 @@ final class FinalAligner extends Aligner {
       if (index.ranks(x)(y) >= 0) scores(index.slot(x, y)) else 0.0
 
     for (_ <- 1 to iters) {
-      java.util.stream.IntStream.range(0, index.size).parallel().forEach { i =>
-        val u = index.rowOf(i); val v = index.col(u, i)
-        val nu = g1.undirectedNeighbors(u); val nv = g2.undirectedNeighbors(v)
-        val structural =
-          if (nu.isEmpty || nv.isEmpty) 0.0
-          else {
-            // FINAL's symmetrically normalized product-graph propagation:
-            // weight of (x,y) -> (u,v) is 1/sqrt(d(u)d(v)d(x)d(y)).
-            var s = 0.0
-            for (x <- nu; y <- nv) {
-              val dxy = g1.undirectedNeighbors(x).length.toDouble * g2.undirectedNeighbors(y).length
-              if (dxy > 0) s += get(prev, x, y) / math.sqrt(dxy)
+      // one task per row; foreachSlot walks its slots with a cursor, not a rowOf search per slot
+      java.util.stream.IntStream.range(0, index.n1).parallel().forEach { u0 =>
+        index.foreachSlot(index.rowStart(u0), index.rowStart(u0 + 1)) { (u, i) =>
+          val v = index.col(u, i)
+          val nu = g1.undirectedNeighbors(u); val nv = g2.undirectedNeighbors(v)
+          val structural =
+            if (nu.isEmpty || nv.isEmpty) 0.0
+            else {
+              // FINAL's symmetrically normalized product-graph propagation:
+              // weight of (x,y) -> (u,v) is 1/sqrt(d(u)d(v)d(x)d(y)).
+              var s = 0.0
+              for (x <- nu; y <- nv) {
+                val dxy = g1.undirectedNeighbors(x).length.toDouble * g2.undirectedNeighbors(y).length
+                if (dxy > 0) s += get(prev, x, y) / math.sqrt(dxy)
+              }
+              s / math.sqrt(nu.length.toDouble * nv.length)
             }
-            s / math.sqrt(nu.length.toDouble * nv.length)
-          }
-        next(i) = (1 - alpha) * 1.0 + alpha * structural
+          next(i) = (1 - alpha) * 1.0 + alpha * structural
+        }
       }
       val t = prev; prev = next; next = t
     }

@@ -12,6 +12,9 @@ final class FSimResult private[core] (
     fixed: Array[Double], // null, or per slot NaN if maintained, else the pruned score α·UB
     scores: Array[Double],
     val iterations: Int,
+    /** The last sweep's max |Δ|. A value ≥ ε means the run stopped at its iteration cap without
+      * converging, which greedy dp and bj can do (DESIGN.md §5); `exactIters` runs skip the ε test.
+      */
     val finalDelta: Double
 ) extends Serializable {
 
@@ -20,7 +23,8 @@ final class FSimResult private[core] (
     */
   def score(u: Int, v: Int): Double = {
     require(u >= 0 && u < index.n1 && v >= 0 && v < index.n2, s"($u, $v) is outside the node ids of G1 x G2")
-    if (index.ranks(u)(v) < 0 || !maintained(fixed, index.slot(u, v))) 0.0 else scores(index.slot(u, v))
+    if (index.ranks(u)(v) < 0) 0.0
+    else { val p = index.slot(u, v); if (maintained(fixed, p)) scores(p) else 0.0 }
   }
 
   /** The maintained pairs as (u, v, score), in (u, v) order: row u walks u's
@@ -33,7 +37,7 @@ final class FSimResult private[core] (
     }
 
   /** Number of maintained candidate pairs |H|. */
-  def numPairs: Int = pairs.size
+  def numPairs: Int = (0 until index.n1).map(u => index.row(u).count(v => maintained(fixed, index.slot(u, v)))).sum
 
   /** Every maintained pair as (u, v) -> score, for small results. */
   def collectScores(): Map[(Long, Long), Double] =

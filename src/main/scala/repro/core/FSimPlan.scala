@@ -2,10 +2,10 @@ package repro.core
 
 import java.util.stream.IntStream
 import repro.graph.LocalGraph
-import FSimPlan.{MaxIters, PairCost, candidates, inParallel, localRanges, maintained, offsets}
+import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, offsets}
 
-/** Algorithm 1 for one (G1, G2, cfg), prepared once in four phases: H_c and
-  * its label terms ([[FSimPlan.candidates]]), the neighbour cells
+/** Algorithm 1 for one (G1, G2, cfg), prepared once in four phases: the
+  * label term per label pair and H_c ([[candidates]]), the neighbour cells
   * ([[countCells]], [[fillCells]]) and the Eq.-6 pruning ([[bounds]]).
   * [[converge]] runs the fixpoint from FSim⁰ ([[fsim0]]) by the Eq.-3
   * update over a pair range ([[sweep]]). Both engines run a plan and cut
@@ -32,13 +32,14 @@ import FSimPlan.{MaxIters, PairCost, candidates, inParallel, localRanges, mainta
   * u ≤ v (P3), exact bit for bit (DESIGN.md §6). SimRank, which adds its
   * cells in (a, b) order and so is symmetric only to ~1e-16, keeps the full plan.
   */
-final class FSimPlan private (g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig,
-                              hc: (PairIndex, Array[Double])) extends Serializable {
-  def this(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) = this(g1, g2, cfg, candidates(g1, g2, cfg))
+final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Serializable {
 
-  // Phase 1's H_c (hc), then phases 2, 3 and 4; phase 5, fsim0, runs in converge.
-  private[core] val index: PairIndex = hc._1
-  private val label: Array[Double] = hc._2
+  // Phase 1 (the label matrix, G2's label ids, H_c), then phases 2, 3 and 4; phase 5, fsim0, runs
+  // in converge. term(l1(u))(l2(v)) is pair (u, v)'s label term, G1's label ids l1 kept by the index.
+  private val term: Array[Array[Double]] =
+    Array.tabulate(g1.sigma.length, g2.sigma.length)((a, b) => cfg.labelSim(g1.sigma(a), g2.sigma(b)))
+  private val l2: Array[Int] = g2.labelId
+  private[core] val index: PairIndex = candidates()
   private val off: Array[Int] = countCells()
   private val cellA, cellB, src = new Array[Int](off(2 * size)) // three arrays, written by fillCells
   fillCells(cellA, cellB, src)
@@ -70,6 +71,18 @@ final class FSimPlan private (g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig,
       a += 1
     }
     c - at
+  }
+
+  /** Phase 1: the [[PairIndex]] of H_c's L ≥ θ pairs (half on G1 = G2 for b, bj and RoleSim), read
+    * from the label matrix `term`, which it then turns into the label term: L, or 0 for §4.3
+    * SimRank, 1 for RoleSim.
+    */
+  private def candidates(): PairIndex = {
+    val eligible2 = term.map(l => IntStream.range(0, g2.n).filter(y => l(l2(y)) >= cfg.theta).toArray)
+    if (cfg.variant == Variant.SimRankCfg || cfg.variant == Variant.RoleSimCfg)
+      term.foreach(java.util.Arrays.fill(_, if (cfg.variant == Variant.RoleSimCfg) 1.0 else 0.0))
+    new PairIndex(g1.labelId, eligible2, g2.n,
+      half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant))
   }
 
   /** Phase 2: the CSR offsets of the cells per pair side, counted in parallel row by row. */
@@ -105,15 +118,15 @@ final class FSimPlan private (g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig,
 
   /** Phase 5, run by each [[converge]], whose loop overwrites it: FSim⁰ per pair. Its fixed
     * score if pruned; for §4.3 RoleSim min(d)/max(d) of the out-degrees (undirected on §4.3's
-    * view), or 1 when both are 0; else label(p): L(u, v) for the paper's variants, 0 for §4.3
-    * SimRank, whose maintained diagonal [[pin]] then sets to 1.
+    * view), or 1 when both are 0; else the label term: L(u, v) for the paper's variants, 0 for
+    * §4.3 SimRank, whose maintained diagonal [[pin]] then sets to 1.
     */
   private def fsim0(): Array[Double] = {
     val scores = new Array[Double](size)
     inParallel(cuts(localRanges))((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
       scores(p) =
         if (!maintained(fixed, p)) fixed(p)
-        else if (cfg.variant != Variant.RoleSimCfg) label(p)
+        else if (cfg.variant != Variant.RoleSimCfg) term(index.l1(u))(l2(index.col(u, p)))
         else {
           val (du, dv) = (g1.outAdj(u).length, g2.outAdj(index.col(u, p)).length)
           if (math.max(du, dv) == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
@@ -157,7 +170,7 @@ final class FSimPlan private (g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig,
           val v = index.col(u, p)
           cfg.wPlus * side(prev, s, off(2 * p), off(2 * p + 1), g1.outAdj(u).length, g2.outAdj(v).length) +
             cfg.wMinus * side(prev, s, off(2 * p + 1), off(2 * p + 2), g1.inAdj(u).length, g2.inAdj(v).length) +
-            cfg.wLabel * label(p)
+            cfg.wLabel * term(index.l1(u))(l2(v))
         }
       p += 1
     }
@@ -231,23 +244,6 @@ final class FSimPlan private (g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig,
 
 private object FSimPlan {
 
-  /** Phase 1: the label matrix, the [[PairIndex]] of H_c's L ≥ θ pairs (half on G1 = G2 for b, bj
-    * and RoleSim) and per pair the label term: L(u, v), or 0 for §4.3 SimRank, 1 for RoleSim.
-    */
-  def candidates(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig): (PairIndex, Array[Double]) = {
-    val (sigma1, sigma2, l1, l2) = (g1.sigma, g2.sigma, g1.labelId, g2.labelId)
-    val lsim = Array.tabulate(sigma1.length, sigma2.length)((a, b) => cfg.labelSim(sigma1(a), sigma2(b)))
-    val eligible2 = lsim.map(l => IntStream.range(0, g2.n).filter(y => l(l2(y)) >= cfg.theta).toArray)
-    val index = new PairIndex(l1, eligible2, g2.n,
-      half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant))
-    val label = new Array[Double](index.size)
-    if (cfg.variant == Variant.RoleSimCfg) java.util.Arrays.fill(label, 1.0)
-    else if (cfg.variant != Variant.SimRankCfg) inParallel(index.rowStart) { (lo, hi) =>
-      index.foreachSlot(lo, hi)((u, p) => label(p) = lsim(l1(u))(l2(index.col(u, p))))
-    }
-    (index, label)
-  }
-
   /** Iteration cap of a run to ε (Corollary 1 bounds the need). */
   final val MaxIters = 100
 
@@ -292,7 +288,7 @@ private object FSimPlan {
   * P3) keeps only u ≤ v and reads (x, y), y < x, as (y, x). The ranks take
   * |Σ1| × |V2| ints, and the Spark broadcast carries them with the plan.
   */
-private[repro] final class PairIndex(l1: Array[Int], eligible2: Array[Array[Int]], val n2: Int,
+private[repro] final class PairIndex(val l1: Array[Int], eligible2: Array[Array[Int]], val n2: Int,
                                      half: Boolean) extends Serializable {
 
   def n1: Int = l1.length

@@ -49,19 +49,15 @@ object Table2 {
 
   final case class Cell(variant: String, v: String, exact: Boolean, score: Double)
 
-  /** Compute all 16 cells with the exact checker and the local FSim engine
-    * (the Spark engine is cross-checked against it in Table2Bench).
+  /** Compute all 16 cells with the exact checker and the local FSim engine, one
+    * relation and one run per variant (the Spark engine is cross-checked
+    * against it in Table2Bench).
     */
-  def compute(): Seq[Cell] = {
-    for {
-      variant <- Variant.paper
-      (vName, vId) <- vs
-    } yield {
-      val exact = ExactSimulation.simulates(g1, g2, variant, u, vId)
-      val res = FSimLocal.compute(g1, g2,
-        FSimConfig(variant, wPlus = 0.4, wMinus = 0.4, theta = 0.0, epsilon = 1e-4))
-      Cell(variant.name, vName, exact, res.score(u, vId))
-    }
+  def compute(): Seq[Cell] = Variant.paper.flatMap { variant =>
+    val exact = ExactSimulation.relation(g1, g2, variant)(u)
+    val res = FSimLocal.compute(g1, g2,
+      FSimConfig(variant, wPlus = 0.4, wMinus = 0.4, theta = 0.0, epsilon = 1e-4))
+    vs.map { case (vName, vId) => Cell(variant.name, vName, exact.get(vId), res.score(u, vId)) }
   }
 
   def render(cells: Seq[Cell]): String = {

@@ -11,7 +11,7 @@ import scala.util.Random
   * slots against a brute-force enumeration of Remark 2's label-constrained
   * mapping, and the result's lookups through the same slots. The arrays are
   * private, so a test-side helper reads them by reflection; the pair keys
-  * are rebuilt through the plan's [[PairIndex]].
+  * and the per-slot label terms are rebuilt through the plan's [[PairIndex]].
   */
 class FSimPlanSpec extends AnyFunSuite {
 
@@ -34,17 +34,33 @@ class FSimPlanSpec extends AnyFunSuite {
     u.toLong * plan.index.n2 + plan.index.col(u, p)
   }
 
+  /** Each slot's label term, read from the plan's per-label-pair matrix
+    * through the index: the per-slot array the plan once stored, so the
+    * pinned checksums still hold.
+    */
+  private def labelsOf(plan: FSimPlan): Array[Double] = {
+    val (term, l2) = (field[Array[Array[Double]]](plan, "term"), ints(plan, "l2"))
+    Array.tabulate(plan.size) { p =>
+      val u = plan.index.rowOf(p)
+      term(plan.index.l1(u))(l2(plan.index.col(u, p)))
+    }
+  }
+
   /** One fold per plan array, in the order keys, off, cellA, cellB, src,
     * label, fixed (doubles by their bits; a null `fixed` folds to 0).
     */
   private def checksums(plan: FSimPlan): Seq[Long] = {
     def fold(xs: Iterator[Long]): Long = xs.foldLeft(17L)((h, x) => 31 * h + x)
-    def doubles(name: String): Long = Option(field[Array[Double]](plan, name))
-      .fold(0L)(a => fold(a.iterator.map(java.lang.Double.doubleToLongBits)))
+    def doubles(xs: Array[Double]): Long =
+      Option(xs).fold(0L)(a => fold(a.iterator.map(java.lang.Double.doubleToLongBits)))
     Seq(fold(keysOf(plan).iterator)) ++
       Seq("off", "cellA", "cellB", "src").map(n => fold(ints(plan, n).iterator.map(_.toLong))) ++
-      Seq(doubles("label"), doubles("fixed"))
+      Seq(doubles(labelsOf(plan)), doubles(field[Array[Double]](plan, "fixed")))
   }
+
+  /** Whether the plan of (g1, g2, c) is a half plan: G1 = G2 (the same object) and b, bj or RoleSim. */
+  private def halfPlan(g1: LocalGraph, g2: LocalGraph, c: FSimConfig): Boolean =
+    (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(c.variant)
 
   private def cfg(v: Variant, theta: Double) = FSimConfig(v, wPlus = 0.4, wMinus = 0.4, theta = theta)
 
@@ -142,7 +158,7 @@ class FSimPlanSpec extends AnyFunSuite {
       val plan = new FSimPlan(g1, g2, c)
       val (off, cellA, cellB, src) = (ints(plan, "off"), ints(plan, "cellA"), ints(plan, "cellB"), ints(plan, "src"))
       val n2 = g2.n
-      val half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(c.variant)
+      val half = halfPlan(g1, g2, c)
       val lists = eligible(g1, g2, c)
       if (half) halves += 1
       if (overlapping(lists)) overlaps += 1
@@ -176,7 +192,7 @@ class FSimPlanSpec extends AnyFunSuite {
     val variants = scala.collection.mutable.Set.empty[Variant]
     val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
       val res = FSimLocal.compute(g1, g2, c.copy(exactIters = Some(0)))
-      if ((g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(c.variant)) halves += 1 else fulls += 1
+      if (halfPlan(g1, g2, c)) halves += 1 else fulls += 1
       if (c.ub.isDefined && res.numPairs > 0) bounded += 1
       variants += c.variant
       res.iterations == 0 && res.pairs.forall { case (u, v, s) =>
@@ -203,7 +219,7 @@ class FSimPlanSpec extends AnyFunSuite {
     val thetas = scala.collection.mutable.Set.empty[Double]
     val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
       val res = FSimLocal.compute(g1, g2, c)
-      if ((g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(c.variant)) halves += 1 else fulls += 1
+      if (halfPlan(g1, g2, c)) halves += 1 else fulls += 1
       if (c.ub.isDefined) bounded += 1 else unbounded += 1
       thetas += c.theta
       val lists = eligible(g1, g2, c)
