@@ -36,8 +36,12 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   // Phase 1 (the label matrix, G2's label ids, H_c), then phases 2, 3 and 4; phase 5, fsim0, runs
   // in converge. term(l1(u))(l2(v)) is pair (u, v)'s label term, G1's label ids l1 kept by the index.
-  private val term: Array[Array[Double]] =
-    Array.tabulate(g1.sigma.length, g2.sigma.length)((a, b) => cfg.labelSim(g1.sigma(a), g2.sigma(b)))
+  private val term: Array[Array[Double]] = {
+    val s1 = g1.sigma.toArray; val s2 = g2.sigma.toArray
+    val t = Array.ofDim[Double](s1.length, s2.length)
+    for (a <- s1.indices; b <- s2.indices) t(a)(b) = cfg.labelSim(s1(a), s2(b))
+    t
+  }
   private val l2: Array[Int] = g2.labelId
   private[core] val index: PairIndex = candidates()
   private val off: Array[Int] = countCells()
@@ -295,7 +299,7 @@ private[repro] final class PairIndex(val l1: Array[Int], eligible2: Array[Array[
 
   /** rank2(a)(y): y's index in eligible2(a), or −1 if y is not eligible. */
   private val rank2: Array[Array[Int]] = eligible2.map { vs =>
-    val rank = Array.fill(n2)(-1)
+    val rank = new Array[Int](n2); java.util.Arrays.fill(rank, -1)
     for (i <- vs.indices) rank(vs(i)) = i
     rank
   }

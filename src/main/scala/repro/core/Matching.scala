@@ -42,6 +42,7 @@ object Matching {
     private[Matching] var best = new Array[Double](16)
     private[Matching] var usedA = new Array[Boolean](16)
     private[Matching] var onesOff = new Array[Int](17)
+    private[Matching] var runAt, runEnd, heap = new Array[Int](16)
     private[Matching] var usedB = new Array[Boolean](16)
     private[Matching] var matchOf, visited = new Array[Int](16)
 
@@ -62,6 +63,7 @@ object Matching {
       if (usedA.length < n1) {
         val c = grow(usedA.length, n1)
         usedA = new Array[Boolean](c); onesOff = new Array[Int](c + 1)
+        runAt = new Array[Int](c); runEnd = new Array[Int](c); heap = new Array[Int](c)
       }
       if (usedB.length < n2) {
         val c = grow(usedB.length, n2)
@@ -166,6 +168,10 @@ object Matching {
     * keeps their order, and weight-0 cells sort last and add +0.0, so the
     * sum is unchanged bit for bit. If no cell is left, as when every cell
     * weighs 1, the Kuhn count is the result.
+    *
+    * Above [[MergeMinFree]] free cells, at [[MergeMinRun]] or more per row that has one, [[mergeRows]]
+    * merges sorted rows instead of one sort: under the strict (weight desc, cell asc) order greedy is the
+    * locally dominant matching (Preis, STACS 1999), so it takes the same cells and adds them in order.
     */
   private def greedyMatchSum(a: Array[Int], b: Array[Int], from: Int, len: Int,
                              w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
@@ -196,16 +202,21 @@ object Matching {
     }
 
     // only cells with both endpoints free can still be matched, and only
-    // those of weight > 0 can add to the sum
+    // those of weight > 0 can add to the sum; rows counts the rows they lie in
     val order = s.order
-    var free = 0
+    var free, rows = 0
     k = 0
     while (k < len) {
-      if (w(k) > 0 && !usedA(a(from + k)) && !usedB(b(from + k))) { order(free) = k; free += 1 }
+      val x = a(from + k)
+      if (w(k) > 0 && !usedA(x) && !usedB(b(from + k))) {
+        if (free == 0 || a(from + order(free - 1)) != x) rows += 1
+        order(free) = k; free += 1
+      }
       k += 1
     }
     if (free == 0) return count.toDouble
-    sortByWeightDesc(order, s.tmp, free, w)
+    if (free > MergeMinFree && free >= MergeMinRun * rows) return mergeRows(a, b, from, w, free, count, s)
+    sortByWeightDesc(order, s.tmp, 0, free, w)
     var sum = count.toDouble
     k = 0
     while (k < free) {
@@ -217,37 +228,82 @@ object Matching {
     sum
   }
 
-  /** Stable sort of order(0 until len) by w desc: insertion sort for short
-    * blocks, bottom-up merge sort through `tmp` above that.
+  // mergeRows does not pay up to 32 free cells, which the single sort sorts by insertion
+  // without a merge pass, nor below 4 per row, where its heap adds a log factor per cell
+  private final val MergeMinFree = 32
+  private final val MergeMinRun = 4
+
+  /** The greedy sweep over the free cells order(0 until free), ascending, from the Kuhn count:
+    * each row's cells sorted alone, then a heap of row heads in (weight desc, cell asc) order.
+    * The top head is matched and its row leaves, or its column is taken and the row moves on.
     */
-  private def sortByWeightDesc(order: Array[Int], tmp: Array[Int], len: Int, w: Array[Double]): Unit =
-    if (len <= 32) {
-      var i = 1
-      while (i < len) {
+  private def mergeRows(a: Array[Int], b: Array[Int], from: Int, w: Array[Double],
+                        free: Int, count: Int, s: Scratch): Double = {
+    val order = s.order; val usedB = s.usedB; val at = s.runAt; val end = s.runEnd; val heap = s.heap
+    var r, lo = 0
+    while (lo < free) {
+      var hi = lo + 1
+      while (hi < free && a(from + order(hi)) == a(from + order(lo))) hi += 1
+      sortByWeightDesc(order, s.tmp, lo, hi, w)
+      at(r) = lo; end(r) = hi; heap(r) = r
+      r += 1; lo = hi
+    }
+    def before(p: Int, q: Int): Boolean = {
+      val cp = order(at(p)); val cq = order(at(q))
+      w(cp) > w(cq) || (w(cp) == w(cq) && cp < cq)
+    }
+    def siftDown(start: Int, size: Int): Unit = {
+      val run = heap(start)
+      var i = start; var c = 2 * i + 1
+      while (c < size) {
+        if (c + 1 < size && before(heap(c + 1), heap(c))) c += 1
+        if (before(heap(c), run)) { heap(i) = heap(c); i = c; c = 2 * i + 1 } else c = size
+      }
+      heap(i) = run
+    }
+    var size = r
+    while (r > 0) { r -= 1; siftDown(r, size) }
+    var sum = count.toDouble
+    while (size > 0) {
+      val top = heap(0); val c = order(at(top)); val y = b(from + c)
+      if (!usedB(y)) { usedB(y) = true; sum += w(c); at(top) = end(top) } else at(top) += 1
+      if (at(top) == end(top)) { size -= 1; heap(0) = heap(size) }
+      siftDown(0, size)
+    }
+    sum
+  }
+
+  /** Stable sort of order(lo until hi) by w desc: insertion sort for short
+    * runs, bottom-up merge sort through `tmp` above that.
+    */
+  private def sortByWeightDesc(order: Array[Int], tmp: Array[Int], lo: Int, hi: Int, w: Array[Double]): Unit =
+    if (hi - lo <= 32) {
+      var i = lo + 1
+      while (i < hi) {
         val c = order(i)
         var j = i - 1
-        while (j >= 0 && w(order(j)) < w(c)) { order(j + 1) = order(j); j -= 1 }
+        while (j >= lo && w(order(j)) < w(c)) { order(j + 1) = order(j); j -= 1 }
         order(j + 1) = c
         i += 1
       }
     } else {
       var src = order; var dst = tmp
       var width = 1
-      while (width < len) {
-        var lo = 0
-        while (lo < len) {
-          val mid = math.min(lo + width, len); val hi = math.min(lo + 2 * width, len)
-          var i = lo; var j = mid; var k = lo
-          while (k < hi) {
-            if (j >= hi || (i < mid && w(src(i)) >= w(src(j)))) { dst(k) = src(i); i += 1 }
+      while (width < hi - lo) {
+        var l = lo
+        while (l < hi) {
+          val mid = math.min(l + width, hi); val end = math.min(l + 2 * width, hi)
+          var i = l; var j = mid; var k = l
+          while (k < end) {
+            if (j >= end || (i < mid && w(src(i)) >= w(src(j)))) { dst(k) = src(i); i += 1 }
             else { dst(k) = src(j); j += 1 }
             k += 1
           }
-          lo = hi
+          l = end
         }
         val t = src; src = dst; dst = t
         width *= 2
       }
-      if (src ne order) System.arraycopy(src, 0, order, 0, len)
+      if (src ne order) System.arraycopy(src, lo, order, lo, hi - lo)
     }
 }

@@ -16,6 +16,7 @@ import scala.io.Source
 class GoldenScoresSpec extends AnyFunSuite {
 
   private lazy val dbis = DbisGen.generate(6, 3, 11L).graph
+  private lazy val dbisDense = DbisGen.generate(8, 5, 11L).graph
   private lazy val gen = GraphGen.generate(GraphGen.Config("golden", 60, 240, 3, skew = 0.5), 5L)
 
   private def cfg(v: Variant) = FSimConfig(v, wPlus = 0.4, wMinus = 0.4, theta = 1.0)
@@ -31,6 +32,12 @@ class GoldenScoresSpec extends AnyFunSuite {
 
   test("golden: bj at θ=1 on a small DBIS-like graph, bitwise") {
     assertBits(FSimLocal.compute(dbis, dbis, cfg(Variant.BJ)), 25997, 9, -2216873781587518485L)
+  }
+
+  test("golden: bj at θ=1 on a DBIS-like graph whose greedy blocks take the row merge, bitwise") {
+    // its paper-by-paper blocks are dense enough that Matching merges sorted rows
+    // instead of sorting the whole block; the graph above sends none that way
+    assertBits(FSimLocal.compute(dbisDense, dbisDense, cfg(Variant.BJ)), 72740, 8, 4717568423125480803L)
   }
 
   test("golden: dp at θ=1 on a GraphGen graph, bitwise") {

@@ -129,7 +129,45 @@ class MatchingSpec extends AnyFunSuite {
     ps = for (((keep, w), i) <- cells.zipWithIndex if keep) yield Cand(i / n2, i % n2, w)
   } yield (n1, n2, if (units) unit(ps) else ps)
 
+  /** Dense blocks with 12–40 cells to a row or a column, whose cells mostly
+    * stay free after the exact pass: wide blocks with a few weight-1 cells,
+    * whose greedy pass merges sorted rows, and tall ones of at most 3
+    * columns with none (they would take every column), whose greedy pass
+    * sorts all their free cells at once.
+    */
+  private val longBlockGen: Gen[(Int, Int, Seq[Cand])] = for {
+    short <- Gen.choose(1, 10)
+    long <- Gen.choose(12, 40)
+    wide <- Gen.prob(0.5)
+    n1 = if (wide) short else long
+    n2 = if (wide) long else math.min(short, 3)
+    density <- Gen.oneOf(0.7, 1.0)
+    below1 = Gen.frequency(1 -> Gen.const(0.0), 6 -> Gen.choose(1, 4).map(_ / 5.0), 2 -> Gen.choose(0.0, 0.99))
+    weight = if (wide) Gen.frequency(1 -> Gen.const(1.0), 29 -> below1) else below1
+    cells <- Gen.listOfN(n1 * n2, Gen.zip(Gen.prob(density), weight))
+  } yield (n1, n2, for (((keep, w), i) <- cells.zipWithIndex if keep) yield Cand(i / n2, i % n2, w))
+
   private val variants = Variant.paper ++ Seq(Variant.SimRankCfg, Variant.RoleSimCfg)
+
+  /** Counts the blocks of more than 32 free cells (weight > 0, row and
+    * column left free by the weight-1 pass) by the path the greedy pass
+    * takes: the row merge, at 4 or more per row that has one, or the
+    * single sort below that.
+    */
+  private final class GreedyPaths {
+    var rowMerge, singleSort = 0
+    def add(ps: Seq[Cand]): Unit = {
+      val free = MatchingOracle.freeAfterOnes(ps).filter(_.w > 0)
+      if (free.size > 32) {
+        if (free.size >= 4 * free.map(_.x).distinct.size) rowMerge += 1 else singleSort += 1
+      }
+    }
+    def check(): Unit = {
+      assert(rowMerge > 0, "no block whose greedy pass merges sorted rows")
+      assert(singleSort > 0, "no block of more than 32 free cells whose greedy pass sorts them at once")
+    }
+    override def toString = s"row merge: $rowMerge; single sort of > 32 cells: $singleSort"
+  }
 
   private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
 
@@ -151,8 +189,10 @@ class MatchingSpec extends AnyFunSuite {
     val scratch = new Matching.Scratch
     val cellCounts = scala.collection.mutable.Set[Int]()
     var allOnes, partlyFree, zeroFree = 0
-    val prop = Prop.forAll(blockGen) { case (n1, n2, ps) =>
+    val paths = new GreedyPaths
+    def prop(gen: Gen[(Int, Int, Seq[Cand])]) = Prop.forAll(gen) { case (n1, n2, ps) =>
       cellCounts += ps.size
+      paths.add(ps)
       if (ps.size >= 2 && ps.forall(_.w >= 1.0 - 1e-9)) allOnes += 1
       val free = MatchingOracle.freeAfterOnes(ps)
       if (free.nonEmpty && free.size < ps.size) partlyFree += 1
@@ -166,8 +206,11 @@ class MatchingSpec extends AnyFunSuite {
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
       .withInitialSeed(Seed(20210419L))
-    val result = Test.check(params, prop)
+    val result = Test.check(params, prop(blockGen))
     assert(result.passed, Pretty.pretty(result))
+    // blockGen's large blocks are mostly left with few free cells by the weight-1 pass
+    val long = Test.check(params.withMinSuccessfulTests(100), prop(longBlockGen))
+    assert(long.passed, Pretty.pretty(long))
     // the kernel returns early for these, so the generator must draw them
     assert(cellCounts(0) && cellCounts(1), "no block of 0 or 1 cells drawn")
     // the greedy kernel returns the Kuhn count when no cell is left free,
@@ -176,8 +219,10 @@ class MatchingSpec extends AnyFunSuite {
     assert(partlyFree > 0, "no block the weight-1 pass leaves partly free")
     // the greedy sweep drops free cells of weight 0
     assert(zeroFree > 0, "no block the weight-1 pass leaves a weight-0 cell free")
+    // and sorts long blocks one of two ways
+    paths.check()
     info(s"blocks of >= 2 weight-1 cells: $allOnes; left partly free: $partlyFree; " +
-      s"with a free weight-0 cell: $zeroFree")
+      s"with a free weight-0 cell: $zeroFree; $paths")
   }
 
   // ---- transposition: what the half plan of a self-similarity run needs ----
@@ -220,8 +265,10 @@ class MatchingSpec extends AnyFunSuite {
   test("blocks whose weight-1 cells are class blocks give the same mapRaw and term transposed, bit for bit") {
     val scratch = new Matching.Scratch
     var severalOnesInARow = 0
+    val paths = new GreedyPaths
     val prop = Prop.forAll(classBlockGen) { case (n1, n2, ps) =>
       if (ps.filter(_.w == 1.0).groupBy(_.x).exists(_._2.size >= 2)) severalOnesInARow += 1
+      paths.add(ps)
       Seq(Variant.DP, Variant.BJ, Variant.RoleSimCfg).forall { v =>
         val r = MatchingOracle.kernel(v, ps, n1, n2, scratch)
         val t = MatchingOracle.kernel(v, transpose(ps), n2, n1, scratch)
@@ -235,5 +282,7 @@ class MatchingSpec extends AnyFunSuite {
     val result = Test.check(params, prop)
     assert(result.passed, Pretty.pretty(result))
     assert(severalOnesInARow > 0, "no block with two weight-1 cells in one row")
+    paths.check()
+    info(paths.toString)
   }
 }
