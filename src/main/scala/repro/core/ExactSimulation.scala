@@ -36,10 +36,6 @@ object ExactSimulation {
     r
   }
 
-  /** Does u ⇝χ v ? */
-  def simulates(g1: LocalGraph, g2: LocalGraph, variant: Variant, u: Int, v: Int): Boolean =
-    relation(g1, g2, variant)(u).get(v)
-
   /** One-step condition check for pair (u,v) against the current relation. */
   private def holds(g1: LocalGraph, g2: LocalGraph, r: Array[java.util.BitSet],
                     variant: Variant, u: Int, v: Int): Boolean = {

@@ -10,20 +10,16 @@ import repro.graph.LocalGraph
   */
 object StrongSimulation {
 
-  /** A match: for each query node, the set of data-graph node ids (original
-    * ids) that simulate it within the winning ball.
-    */
-  final case class Match(center: Int, matches: Array[Array[Int]])
-
   /** Centers tried per query: the first candidates in ascending id. */
   private final val MaxCenters = 300
 
   /** The strong-simulation match of `query` in `data` at the smallest valid
-    * center, if any. Candidate centers are restricted to nodes that survive
-    * a global dual simulation first (Ma et al.'s optimization), then each
-    * ball is checked.
+    * center, if any: for each query node, the data node ids, ascending, that
+    * simulate it within that center's ball. Candidate centers are restricted
+    * to nodes that survive a global dual simulation first (Ma et al.'s
+    * optimization), then each ball is checked.
     */
-  def firstMatch(query: LocalGraph, data: LocalGraph): Option[Match] = {
+  def firstMatch(query: LocalGraph, data: LocalGraph): Option[Array[Array[Int]]] = {
     val global = ExactSimulation.relation(query, data, Variant.S)
     // candidate centers: any data node simulating some query node globally
     val candidateCenters = {
@@ -39,7 +35,7 @@ object StrongSimulation {
       val allCovered = r.forall(row => !row.isEmpty)
       val vLocal = java.util.Arrays.binarySearch(origIds, v)
       val vInImage = vLocal >= 0 && r.exists(_.get(vLocal))
-      if (allCovered && vInImage) Some(Match(v, r.map(_.stream().map(origIds(_)).toArray)))
+      if (allCovered && vInImage) Some(r.map(_.stream().map(origIds(_)).toArray))
       else None
     }.nextOption()
   }

@@ -11,8 +11,8 @@ import scala.util.Random
   * input of both FSimχ engines; `FSimSpark`'s frame overload builds it with [[GraphFrames.toLocal]].
   *
   * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays. The
-  * label views (Σ, label ids, label buckets) and the undirected neighbours
-  * are built once per graph, on first use, and are not serialised.
+  * label views (Σ, label ids, label buckets, neighbour labels) and the undirected
+  * neighbours are built once per graph, on first use, and are not serialised.
   * `duplicateEdges` counts the repeated edges [[LocalGraph.fromEdges]]
   * dropped; a graph not built from an edge list has 0.
   */
@@ -60,6 +60,12 @@ final class LocalGraph(
 
   /** Undirected neighbors, ascending (used by RoleSim / WL-test adaptations, §4.3). */
   def undirectedNeighbors(u: Int): Array[Int] = undirected(u)
+
+  @transient private lazy val nbrLabels =
+    Array.tabulate(n)(u => undirected(u).map(labels).groupBy(identity).view.mapValues(_.length).toMap)
+
+  /** The labels of u's undirected neighbours, each with how many of them carry it. */
+  def neighborLabels(u: Int): Map[String, Int] = nbrLabels(u)
 
   /** Undirected shortest-path distance from `src` to every node, by BFS:
     * -1 for nodes that are unreachable or farther than `radius`.

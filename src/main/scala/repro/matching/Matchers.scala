@@ -29,34 +29,30 @@ object Matcher {
 
 /** Greedy seed-and-expand match generation driven by a node-similarity score
   * — the generation scheme the paper borrows from NAGA (§5.4) for FSimχ.
-  * Concrete matchers supply score(q, v) and the candidate restriction.
+  * Concrete matchers supply score(q, v) and which data nodes may match q.
   */
 abstract class SeedExpandMatcher extends Matcher {
 
   /** Similarity of query node q to data node v (higher = better). */
   protected def scores(query: LocalGraph, data: LocalGraph): (Int, Int) => Double
 
-  /** Candidate data nodes for query node q (None = all data nodes). */
-  protected def candidates(query: LocalGraph, data: LocalGraph, q: Int): Option[Array[Int]] = None
+  /** May data node v match query node q? The scorer is asked only about such pairs. */
+  protected def eligible(query: LocalGraph, data: LocalGraph, q: Int, v: Int): Boolean = true
 
   def matchQuery(query: LocalGraph, data: LocalGraph): Map[Int, Int] = {
     val s = scores(query, data)
     val assigned = mutable.HashMap[Int, Int]()
     val used = mutable.HashSet[Int]()
 
-    // each query node's candidates, once per query; None = every data node
-    val cands = Array.tabulate(query.n)(q => candidates(query, data, q))
-    val candSets = cands.map(_.map(_.toSet))
-
     def bestGlobal(q: Int): Option[(Int, Double)] = {
       var bv = -1; var bs = -1.0
-      def consider(v: Int): Unit = if (!used.contains(v)) {
-        val sc = s(q, v)
-        if (sc > bs) { bs = sc; bv = v }
-      }
-      cands(q) match {
-        case Some(vs) => vs.foreach(consider)
-        case None => var v = 0; while (v < data.n) { consider(v); v += 1 }
+      var v = 0
+      while (v < data.n) {
+        if (!used.contains(v) && eligible(query, data, q, v)) {
+          val sc = s(q, v)
+          if (sc > bs) { bs = sc; bv = v }
+        }
+        v += 1
       }
       if (bv >= 0) Some((bv, bs)) else None
     }
@@ -80,7 +76,7 @@ abstract class SeedExpandMatcher extends Matcher {
         val local = mutable.HashSet[Int]()
         for (qa <- query.outAdj(q) if assigned.contains(qa)) local ++= data.inAdj(assigned(qa))
         for (qa <- query.inAdj(q) if assigned.contains(qa)) local ++= data.outAdj(assigned(qa))
-        val localEligible = local.filter(v => !used.contains(v) && candSets(q).forall(_.contains(v)))
+        val localEligible = local.filter(v => !used.contains(v) && eligible(query, data, q, v))
         // rank local candidates by how many query edges to assigned nodes
         // they realize (G-Finder-style lookahead), then by similarity
         def satisfied(v: Int): Int =
@@ -113,32 +109,28 @@ final class FSimMatcher(variant: Variant) extends SeedExpandMatcher {
 }
 
 /** NAGA-like matcher: chi-square statistical significance of the matched
-  * neighbor-label vector (Dutta et al., WWW'17), candidates restricted to
-  * exact-label nodes as NAGA requires. Simplified reimplementation — the
-  * original binary is unavailable (DESIGN.md §3).
+  * neighbor-label vector (Dutta et al., WWW'17), only exact-label nodes
+  * eligible, as NAGA requires. Simplified reimplementation — the original
+  * binary is unavailable (DESIGN.md §3).
   */
 final class NagaMatcher extends SeedExpandMatcher {
   val name = "NAGA"
 
-  override protected def candidates(query: LocalGraph, data: LocalGraph, q: Int): Option[Array[Int]] =
-    Some(data.nodesLabelled(query.labels(q)))
+  override protected def eligible(query: LocalGraph, data: LocalGraph, q: Int, v: Int): Boolean =
+    data.labels(v) == query.labels(q)
 
   protected def scores(query: LocalGraph, data: LocalGraph): (Int, Int) => Double = {
     def labelFreq(l: String): Double = data.nodesLabelled(l).length match { case 0 => 1e-6; case c => c.toDouble / data.n }
     (q, v) => {
-      if (data.labels(v) != query.labels(q)) -1.0
-      else {
-        val qNbr = query.undirectedNeighbors(q).map(query.labels).groupBy(identity).view.mapValues(_.length).toMap
-        val vNbr = data.undirectedNeighbors(v).map(data.labels).groupBy(identity).view.mapValues(_.length).toMap
-        val dv = data.undirectedNeighbors(v).length.toDouble
-        var chi = 0.0
-        for ((l, oq) <- qNbr) {
-          val observed = math.min(oq, vNbr.getOrElse(l, 0)).toDouble
-          val expected = math.max(1e-6, dv * labelFreq(l))
-          chi += (observed - expected) * (observed - expected) / expected * (if (observed > 0) 1 else -1)
-        }
-        chi
+      val vNbr = data.neighborLabels(v)
+      val dv = data.undirectedNeighbors(v).length.toDouble
+      var chi = 0.0
+      for ((l, oq) <- query.neighborLabels(q)) {
+        val observed = math.min(oq, vNbr.getOrElse(l, 0)).toDouble
+        val expected = math.max(1e-6, dv * labelFreq(l))
+        chi += (observed - expected) * (observed - expected) / expected * (if (observed > 0) 1 else -1)
       }
+      chi
     }
   }
 }
@@ -158,9 +150,8 @@ final class GFinderMatcher extends SeedExpandMatcher {
       val inCover = math.min(1.0,
         if (query.inDeg(q) == 0) 1.0 else data.inDeg(v).toDouble / query.inDeg(q))
       // neighbor label overlap
-      val qN = query.undirectedNeighbors(q).map(query.labels).toSet
-      val vN = data.undirectedNeighbors(v).map(data.labels).toSet
-      val overlap = if (qN.isEmpty) 1.0 else qN.intersect(vN).size.toDouble / qN.size
+      val qN = query.neighborLabels(q); val vN = data.neighborLabels(v)
+      val overlap = if (qN.isEmpty) 1.0 else qN.keysIterator.count(vN.contains).toDouble / qN.size
       0.5 * labelScore + 0.2 * (outCover + inCover) / 2 + 0.3 * overlap
     }
   }
@@ -175,9 +166,9 @@ final class StrongSimMatcher extends Matcher {
   def matchQuery(query: LocalGraph, data: LocalGraph): Map[Int, Int] = {
     StrongSimulation.firstMatch(query, data) match {
       case None => Map.empty
-      case Some(m) =>
+      case Some(matches) =>
         (0 until query.n).flatMap { q =>
-          m.matches(q).headOption.map(q -> _)
+          matches(q).headOption.map(q -> _)
         }.toMap
     }
   }

@@ -10,6 +10,10 @@ import repro.graph.LocalGraph
 
 class ExactSimulationSpec extends AnyFunSuite {
 
+  /** Does u ⇝χ v ? */
+  private def simulates(g1: LocalGraph, g2: LocalGraph, variant: Variant, u: Int, v: Int): Boolean =
+    ExactSimulation.relation(g1, g2, variant)(u).get(v)
+
   test("bipartite matching: simple cases") {
     val all = (_: Int, _: Int) => true
     assert(Bipartite.maxMatching(Array(1, 2), Array(3, 4), all) === 2)
@@ -56,7 +60,7 @@ class ExactSimulationSpec extends AnyFunSuite {
       (vName, vId) <- Table2.vs
     } {
       val expected = Table2.paper((variant.name, vName))._1
-      val got = ExactSimulation.simulates(Table2.g1, Table2.g2, variant, Table2.u, vId)
+      val got = simulates(Table2.g1, Table2.g2, variant, Table2.u, vId)
       assert(got === expected, s"χ=${variant.name}, pair (u,$vName)")
     }
   }
@@ -104,45 +108,45 @@ class ExactSimulationSpec extends AnyFunSuite {
     val g1 = LocalGraph.fromEdges(Array("a"), Seq.empty)
     val g2 = LocalGraph.fromEdges(Array("b"), Seq.empty)
     for (v <- Variant.paper)
-      assert(!ExactSimulation.simulates(g1, g2, v, 0, 0))
+      assert(!simulates(g1, g2, v, 0, 0))
   }
 
   test("isolated same-label nodes simulate each other under all variants") {
     val g1 = LocalGraph.fromEdges(Array("a"), Seq.empty)
     val g2 = LocalGraph.fromEdges(Array("a"), Seq.empty)
     for (v <- Variant.paper)
-      assert(ExactSimulation.simulates(g1, g2, v, 0, 0))
+      assert(simulates(g1, g2, v, 0, 0))
   }
 
   test("s-simulation allows non-injective neighbor mapping; dp does not") {
     // u -> two 'x' children; v -> one 'x' child
     val g1 = LocalGraph.fromEdges(Array("a", "x", "x"), Seq((0, 1), (0, 2)))
     val g2 = LocalGraph.fromEdges(Array("a", "x"), Seq((0, 1)))
-    assert(ExactSimulation.simulates(g1, g2, Variant.S, 0, 0))
-    assert(!ExactSimulation.simulates(g1, g2, Variant.DP, 0, 0))
+    assert(simulates(g1, g2, Variant.S, 0, 0))
+    assert(!simulates(g1, g2, Variant.DP, 0, 0))
   }
 
   test("b-simulation requires backward coverage; s does not") {
     // u -> {x}; v -> {x, y}: v's y-child has no counterpart
     val g1 = LocalGraph.fromEdges(Array("a", "x"), Seq((0, 1)))
     val g2 = LocalGraph.fromEdges(Array("a", "x", "y"), Seq((0, 1), (0, 2)))
-    assert(ExactSimulation.simulates(g1, g2, Variant.S, 0, 0))
-    assert(!ExactSimulation.simulates(g1, g2, Variant.B, 0, 0))
+    assert(simulates(g1, g2, Variant.S, 0, 0))
+    assert(!simulates(g1, g2, Variant.B, 0, 0))
   }
 
   test("bj-simulation requires equal neighbor counts") {
     // u -> {x}; v -> {x, x}
     val g1 = LocalGraph.fromEdges(Array("a", "x"), Seq((0, 1)))
     val g2 = LocalGraph.fromEdges(Array("a", "x", "x"), Seq((0, 1), (0, 2)))
-    assert(ExactSimulation.simulates(g1, g2, Variant.DP, 0, 0))
-    assert(ExactSimulation.simulates(g1, g2, Variant.B, 0, 0))
-    assert(!ExactSimulation.simulates(g1, g2, Variant.BJ, 0, 0))
+    assert(simulates(g1, g2, Variant.DP, 0, 0))
+    assert(simulates(g1, g2, Variant.B, 0, 0))
+    assert(!simulates(g1, g2, Variant.BJ, 0, 0))
   }
 
   test("in-neighbors matter (Ma et al. 2011 revision)") {
     // u has an in-neighbor, v does not
     val g1 = LocalGraph.fromEdges(Array("a", "p"), Seq((1, 0)))
     val g2 = LocalGraph.fromEdges(Array("a", "p"), Seq.empty)
-    assert(!ExactSimulation.simulates(g1, g2, Variant.S, 0, 0))
+    assert(!simulates(g1, g2, Variant.S, 0, 0))
   }
 }

@@ -51,7 +51,12 @@ object MatchingOracle {
     best.valuesIterator.sum
   }
 
-  private def greedyMatchSum(pairs: Seq[Cand]): Double = {
+  /** Greedy dp on `pairs` with equal weights in different rows taken from
+    * the higher row first, the reverse of the kernel's tie order.
+    */
+  def greedyRowsSwapped(pairs: Seq[Cand]): Double = greedyMatchSum(pairs, rowsDesc = true)
+
+  private def greedyMatchSum(pairs: Seq[Cand], rowsDesc: Boolean = false): Double = {
     val usedX = mutable.HashSet.empty[Int]
     val usedY = mutable.HashSet.empty[Int]
     var sum = 0.0
@@ -61,7 +66,7 @@ object MatchingOracle {
       val byW = java.lang.Double.compare(b.w, a.w)
       if (byW != 0) byW
       else {
-        val byX = Integer.compare(a.x, b.x)
+        val byX = if (rowsDesc) Integer.compare(b.x, a.x) else Integer.compare(a.x, b.x)
         if (byX != 0) byX else Integer.compare(a.y, b.y)
       }
     })

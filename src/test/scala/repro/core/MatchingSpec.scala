@@ -147,26 +147,43 @@ class MatchingSpec extends AnyFunSuite {
     cells <- Gen.listOfN(n1 * n2, Gen.zip(Gen.prob(density), weight))
   } yield (n1, n2, for (((keep, w), i) <- cells.zipWithIndex if keep) yield Cand(i / n2, i % n2, w))
 
+  /** Dense blocks of 6–10 rows and 6–10 columns without weight-1 cells, so
+    * that the greedy pass merges sorted rows. Most weights are one of two
+    * values, so row heads tie across rows on one column, and the others are
+    * continuous, so the row that loses such a tie goes on to a different
+    * weight and the sum depends on which row wins.
+    */
+  private val tieBlockGen: Gen[(Int, Int, Seq[Cand])] = for {
+    n1 <- Gen.choose(6, 10)
+    n2 <- Gen.choose(6, 10)
+    ws <- Gen.listOfN(n1 * n2, Gen.frequency(2 -> Gen.const(0.6), 1 -> Gen.const(0.4), 2 -> Gen.choose(0.01, 0.99)))
+  } yield (n1, n2, for ((w, i) <- ws.zipWithIndex) yield Cand(i / n2, i % n2, w))
+
   private val variants = Variant.paper ++ Seq(Variant.SimRankCfg, Variant.RoleSimCfg)
 
   /** Counts the blocks of more than 32 free cells (weight > 0, row and
     * column left free by the weight-1 pass) by the path the greedy pass
     * takes: the row merge, at 4 or more per row that has one, or the
-    * single sort below that.
+    * single sort below that; and the row-merge blocks whose greedy sum
+    * changes if ties between rows go to the higher row.
     */
   private final class GreedyPaths {
-    var rowMerge, singleSort = 0
+    var rowMerge, singleSort, rowMergeTies = 0
     def add(ps: Seq[Cand]): Unit = {
       val free = MatchingOracle.freeAfterOnes(ps).filter(_.w > 0)
       if (free.size > 32) {
-        if (free.size >= 4 * free.map(_.x).distinct.size) rowMerge += 1 else singleSort += 1
+        if (free.size >= 4 * free.map(_.x).distinct.size) {
+          rowMerge += 1
+          if (bits(MatchingOracle.greedyRowsSwapped(ps)) != bits(MatchingOracle.mapRaw(Variant.DP, ps))) rowMergeTies += 1
+        } else singleSort += 1
       }
     }
     def check(): Unit = {
       assert(rowMerge > 0, "no block whose greedy pass merges sorted rows")
       assert(singleSort > 0, "no block of more than 32 free cells whose greedy pass sorts them at once")
     }
-    override def toString = s"row merge: $rowMerge; single sort of > 32 cells: $singleSort"
+    override def toString =
+      s"row merge: $rowMerge, whose sum hangs on the row tie order: $rowMergeTies; single sort of > 32 cells: $singleSort"
   }
 
   private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
@@ -211,6 +228,8 @@ class MatchingSpec extends AnyFunSuite {
     // blockGen's large blocks are mostly left with few free cells by the weight-1 pass
     val long = Test.check(params.withMinSuccessfulTests(100), prop(longBlockGen))
     assert(long.passed, Pretty.pretty(long))
+    val ties = Test.check(params.withMinSuccessfulTests(100), prop(tieBlockGen))
+    assert(ties.passed, Pretty.pretty(ties))
     // the kernel returns early for these, so the generator must draw them
     assert(cellCounts(0) && cellCounts(1), "no block of 0 or 1 cells drawn")
     // the greedy kernel returns the Kuhn count when no cell is left free,
@@ -221,6 +240,8 @@ class MatchingSpec extends AnyFunSuite {
     assert(zeroFree > 0, "no block the weight-1 pass leaves a weight-0 cell free")
     // and sorts long blocks one of two ways
     paths.check()
+    // and the row merge's tie order between rows changes the sum of some
+    assert(paths.rowMergeTies > 0, "no row-merge block whose greedy sum changes if the higher row wins a tie")
     info(s"blocks of >= 2 weight-1 cells: $allOnes; left partly free: $partlyFree; " +
       s"with a free weight-0 cell: $zeroFree; $paths")
   }

@@ -125,9 +125,11 @@ class LocalGraphSpec extends AnyFunSuite {
     labels <- Gen.listOfN(n, Gen.oneOf("a", "b", "c", "d"))
   } yield LocalGraph.fromEdges(labels.toArray, edges)
 
-  /** Σ, the label ids, the label buckets (of Σ and of one absent label) and the undirected neighbours. */
+  /** Σ, the label ids, the label buckets (of Σ and of one absent label), the
+    * undirected neighbours and their label counts.
+    */
   private def views(g: LocalGraph) = (g.sigma, g.labelId.toSeq, (g.sigma :+ "absent").map(g.nodesLabelled(_).toSeq),
-    (0 until g.n).map(g.undirectedNeighbors(_).toSeq))
+    (0 until g.n).map(g.undirectedNeighbors(_).toSeq), (0 until g.n).map(g.neighborLabels))
 
   private def serialise(g: LocalGraph): Array[Byte] = {
     val bytes = new ByteArrayOutputStream()
@@ -138,18 +140,23 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("label views and undirected neighbours equal brute force, and are not serialised") {
     val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1).withInitialSeed(Seed(17L))
+    var isolated, selfLoops = 0
     val result = Test.check(params, Prop.forAll(graphs) { g =>
       val unread = serialise(g)
       val sigma = g.labels.foldLeft(Vector.empty[String])((s, l) => if (s.contains(l)) s else s :+ l)
+      val nbrs = (0 until g.n).map(u => (0 until g.n).filter(v => g.hasEdge(u, v) || g.hasEdge(v, u)))
+      isolated += nbrs.count(_.isEmpty)
+      selfLoops += (0 until g.n).count(u => g.hasEdge(u, u))
       val brute = (sigma, g.labels.toSeq.map(sigma.indexOf(_)),
-        (sigma :+ "absent").map(l => (0 until g.n).filter(g.labels(_) == l)),
-        (0 until g.n).map(u => (0 until g.n).filter(v => g.hasEdge(u, v) || g.hasEdge(v, u))))
+        (sigma :+ "absent").map(l => (0 until g.n).filter(g.labels(_) == l)), nbrs,
+        nbrs.map(vs => vs.map(g.labels).distinct.map(l => l -> vs.count(g.labels(_) == l)).toMap))
       val read = views(g)
       val bytes = serialise(g)
       val copy = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[LocalGraph]
       read == brute && (bytes sameElements unread) && views(copy) == read
     })
     assert(result.passed, Pretty.pretty(result))
+    assert(isolated > 0 && selfLoops > 0, s"isolated nodes: $isolated; self-loops: $selfLoops")
   }
 
   test("empty graph edge cases") {

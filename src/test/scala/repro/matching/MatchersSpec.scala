@@ -2,6 +2,7 @@ package repro.matching
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{StrongSimulation, Variant}
+import repro.exp.Table6
 import repro.graph.{GraphGen, LocalGraph}
 import scala.util.Random
 
@@ -66,7 +67,7 @@ class MatchersSpec extends AnyFunSuite {
       val ms = StrongSimulation.firstMatch(q, data)
       assert(ms.nonEmpty, "clean extraction must be strong-simulated somewhere")
       // the ground-truth region itself must satisfy the conditions for some center
-      val anyCovers = ms.exists(m => (0 until q.n).forall(i => m.matches(i).nonEmpty))
+      val anyCovers = ms.exists(m => (0 until q.n).forall(i => m(i).nonEmpty))
       assert(anyCovers)
     }
   }
@@ -86,6 +87,40 @@ class MatchersSpec extends AnyFunSuite {
       naga.foreach { case (qq, v) => assert(data.labels(v) === q.labels(qq)) }
       val gf = new GFinderMatcher().matchQuery(q, data)
       assert(gf.size === q.n)
+    }
+  }
+
+  /** NAGA's and G-Finder's matches on fixed Table-6 queries against `data`,
+    * by (scenario, query seed).
+    */
+  private val pinned: Seq[((String, Int), Map[Int, Int], Map[Int, Int])] = Seq(
+    (("Exact", 3),
+      Map(0 -> 532, 1 -> 853, 2 -> 1147, 3 -> 1160, 4 -> 1185, 5 -> 1202, 6 -> 1208, 7 -> 1242, 8 -> 1261),
+      Map(0 -> 532, 1 -> 853, 2 -> 1185, 3 -> 1160, 4 -> 1147, 5 -> 1202, 6 -> 1208, 7 -> 1242, 8 -> 1261)),
+    (("Noisy-L", 1),
+      Map(0 -> 286, 1 -> 723, 2 -> 79, 3 -> 305, 4 -> 1040, 5 -> 833, 6 -> 1204),
+      Map(0 -> 543, 1 -> 92, 2 -> 1394, 3 -> 502, 4 -> 483, 5 -> 468, 6 -> 485)),
+    (("Noisy-L", 2),
+      Map(0 -> 372, 1 -> 434, 2 -> 322, 3 -> 873),
+      Map(0 -> 186, 1 -> 75, 2 -> 641, 3 -> 626)),
+    (("Combined", 1),
+      Map(0 -> 88, 1 -> 98, 2 -> 114, 3 -> 17, 4 -> 172, 5 -> 187, 6 -> 794),
+      Map(0 -> 88, 1 -> 98, 2 -> 114, 3 -> 162, 4 -> 172, 5 -> 187, 6 -> 794)),
+    (("Combined", 2),
+      Map(0 -> 372, 1 -> 841, 2 -> 516, 3 -> 873),
+      Map(0 -> 849, 1 -> 841, 2 -> 837, 3 -> 933)),
+    (("Combined", 3),
+      Map(0 -> 1092, 1 -> 1170, 2 -> 639, 3 -> 683, 4 -> 519, 5 -> 1495, 6 -> 230, 7 -> 1471, 8 -> 1447),
+      Map(0 -> 349, 1 -> 1467, 2 -> 200, 3 -> 290, 4 -> 264, 5 -> 274, 6 -> 271, 7 -> 233, 8 -> 212)),
+    (("Combined", 4),
+      Map(0 -> 1335, 1 -> 471, 2 -> 566, 3 -> 533, 4 -> 495, 5 -> 390, 6 -> 1428, 7 -> 952, 8 -> 828, 9 -> 936),
+      Map(0 -> 2, 1 -> 337, 2 -> 849, 3 -> 323, 4 -> 435, 5 -> 251, 6 -> 434, 7 -> 346, 8 -> 498, 9 -> 372)))
+
+  for (((scenario, seed), naga, gFinder) <- pinned) {
+    test(s"NAGA and G-Finder give their pinned matches on a $scenario query, seed $seed") {
+      val (q, _) = Table6.makeQuery(data, scenario, new Random(seed))
+      assert((new NagaMatcher).matchQuery(q, data) === naga)
+      assert(new GFinderMatcher().matchQuery(q, data) === gFinder)
     }
   }
 
