@@ -24,7 +24,7 @@ object Aligner {
     var sum = 0.0
     for (u <- 0 until g1.n) {
       val au = result.getOrElse(u, Seq.empty)
-      if (au.contains(u) && au.nonEmpty) {
+      if (au.contains(u)) {
         val p = 1.0 / au.size
         sum += 2 * p / (p + 1)
       }
@@ -133,9 +133,8 @@ final class FinalAligner extends Aligner {
     val index = new PairIndex(g1.labelId, g1.sigma.map(g2.nodesLabelled).toArray, g2.n, half = false)
     var prev = Array.fill(index.size)(1.0)
     var next = new Array[Double](index.size)
-
-    def get(scores: Array[Double], x: Int, y: Int): Double =
-      if (index.ranks(x)(y) >= 0) scores(index.slot(x, y)) else 0.0
+    val d1 = Array.tabulate(g1.n)(g1.undirectedNeighbors(_).length.toDouble)
+    val d2 = Array.tabulate(g2.n)(g2.undirectedNeighbors(_).length.toDouble)
 
     for (_ <- 1 to iters) {
       // one task per row; foreachSlot walks its slots with a cursor, not a rowOf search per slot
@@ -147,12 +146,11 @@ final class FinalAligner extends Aligner {
             if (nu.isEmpty || nv.isEmpty) 0.0
             else {
               // FINAL's symmetrically normalized product-graph propagation:
-              // weight of (x,y) -> (u,v) is 1/sqrt(d(u)d(v)d(x)d(y)).
+              // weight of (x,y) -> (u,v) is 1/sqrt(d(u)d(v)d(x)d(y)); only
+              // same-label cells hold a score, and x ∈ N(u) gives d(x) ≥ 1
               var s = 0.0
-              for (x <- nu; y <- nv) {
-                val dxy = g1.undirectedNeighbors(x).length.toDouble * g2.undirectedNeighbors(y).length
-                if (dxy > 0) s += get(prev, x, y) / math.sqrt(dxy)
-              }
+              for (x <- nu; y <- nv if index.ranks(x)(y) >= 0)
+                s += prev(index.slot(x, y)) / math.sqrt(d1(x) * d2(y))
               s / math.sqrt(nu.length.toDouble * nv.length)
             }
           next(i) = (1 - alpha) * 1.0 + alpha * structural

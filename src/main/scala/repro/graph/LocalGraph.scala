@@ -13,10 +13,10 @@ import scala.util.Random
   * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays. The
   * label views (Σ, label ids, label buckets, neighbour labels) and the undirected
   * neighbours are built once per graph, on first use, and are not serialised.
-  * `duplicateEdges` counts the repeated edges [[LocalGraph.fromEdges]]
-  * dropped; a graph not built from an edge list has 0.
+  * Every graph's adjacency is built by [[LocalGraph.fromEdges]], which checks
+  * its input; `duplicateEdges` counts the repeated edges it dropped.
   */
-final class LocalGraph(
+final class LocalGraph private (
     val labels: Array[String],
     val outAdj: Array[Array[Int]],
     val inAdj: Array[Array[Int]],
@@ -99,10 +99,8 @@ final class LocalGraph(
   def inducedSubgraph(nodes: Array[Int]): (LocalGraph, Array[Int]) = {
     val sorted = nodes.distinct.sorted
     val index  = sorted.zipWithIndex.toMap
-    val lbl    = sorted.map(labels)
-    val out    = sorted.map(u => outAdj(u).collect { case v if index.contains(v) => index(v) }.sorted)
-    val in     = sorted.map(u => inAdj(u).collect { case v if index.contains(v) => index(v) }.sorted)
-    (new LocalGraph(lbl, out, in), sorted)
+    val kept   = for (i <- sorted.indices; v <- outAdj(sorted(i)); j <- index.get(v)) yield (i, j)
+    (LocalGraph.fromEdges(sorted.map(labels), kept), sorted)
   }
 
   /** Undirected diameter of this (assumed small, connected) graph — used as
@@ -138,17 +136,14 @@ final class LocalGraph(
 
   /** Copy with `k` random edges added (structural noise, §5.2 / Table 6). */
   def withAddedEdges(k: Int, rnd: Random): LocalGraph = {
-    val existing = mutable.HashSet[Long]()
-    for ((u, v) <- edges) existing += (u.toLong << 32) | v.toLong
-    val extra = mutable.ArrayBuffer[(Int, Int)]()
+    val added = mutable.HashSet[(Int, Int)]()
     var tries = 0
-    while (extra.size < k && tries < 100 * (k + 1)) {
+    while (added.size < k && tries < 100 * (k + 1)) {
       val u = rnd.nextInt(n); val v = rnd.nextInt(n)
-      val key = (u.toLong << 32) | v.toLong
-      if (u != v && !existing.contains(key)) { existing += key; extra += ((u, v)) }
+      if (u != v && !hasEdge(u, v)) added += ((u, v))
       tries += 1
     }
-    LocalGraph.fromEdges(labels, edges.toSeq ++ extra)
+    LocalGraph.fromEdges(labels, edges.toSeq ++ added)
   }
 
   /** Copy with `k` random edges removed. */
@@ -158,8 +153,8 @@ final class LocalGraph(
     LocalGraph.fromEdges(labels, keep)
   }
 
-  /** Copy with `k` random node labels replaced by another label drawn from the
-    * alphabet `sigma` (label noise, Table 6's Noisy-L).
+  /** Copy, sharing this graph's checked adjacency, with `k` random node labels
+    * replaced by another label drawn from the alphabet `sigma` (label noise, Table 6's Noisy-L).
     */
   def withPerturbedLabels(k: Int, sigma: IndexedSeq[String], rnd: Random): LocalGraph = {
     val lbl = labels.clone()
@@ -174,12 +169,8 @@ final class LocalGraph(
   }
 
   /** Disjoint union with `other` (other's ids shifted by `n`). */
-  def disjointUnion(other: LocalGraph): LocalGraph = {
-    val lbl = labels ++ other.labels
-    val out = outAdj.map(identity) ++ other.outAdj.map(_.map(_ + n))
-    val in  = inAdj.map(identity) ++ other.inAdj.map(_.map(_ + n))
-    new LocalGraph(lbl, out, in)
-  }
+  def disjointUnion(other: LocalGraph): LocalGraph =
+    LocalGraph.fromEdges(labels ++ other.labels, (edges ++ other.edges.map { case (u, v) => (u + n, v + n) }).toSeq)
 }
 
 object LocalGraph {

@@ -104,7 +104,7 @@ class FSimPlanSpec extends AnyFunSuite {
       Seq(1208126889347068563L, 1809387604605618493L, 2095372324072828707L, -6062305849947787104L,
         -5834213478194361280L, -1064348351301118449L, 0L)),
     ("bj, θ = 0.5, L_J on hierarchical labels (overlapping eligible lists)", { () =>
-      val h = new LocalGraph(Array.tabulate(gen.n)(u => Hierarchical(u % Hierarchical.length)), gen.outAdj, gen.inAdj)
+      val h = LocalGraph.fromEdges(Array.tabulate(gen.n)(u => Hierarchical(u % Hierarchical.length)), gen.edges.toSeq)
       val c = cfg(Variant.BJ, 0.5).copy(labelSim = LabelSim.JaroWinkler)
       assert(overlapping(eligible(h, h, c)))
       new FSimPlan(h, h, c)

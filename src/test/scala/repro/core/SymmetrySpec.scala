@@ -15,7 +15,7 @@ import repro.graph.{GraphFrames, LocalGraph}
 class SymmetrySpec extends SparkSpec {
 
   private def copyOf(g: LocalGraph): LocalGraph =
-    new LocalGraph(g.labels.clone(), g.outAdj.map(_.clone()), g.inAdj.map(_.clone()))
+    LocalGraph.fromEdges(g.labels, g.edges.toSeq)
 
   /** (u, v, score bits) of every maintained pair, in key order. */
   private def bits(res: FSimResult): Seq[(Int, Int, Long)] =

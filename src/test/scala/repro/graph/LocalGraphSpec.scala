@@ -31,6 +31,10 @@ class LocalGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](LocalGraph.fromEdges(Array("a", null), Nil))
   }
 
+  test("no graph bypasses fromEdges' checks: the constructor is private") {
+    assertDoesNotCompile("""new LocalGraph(Array("a"), Array(Array(5)), Array(Array.empty[Int]))""")
+  }
+
   test("degree and label statistics") {
     assert(g.n === 4)
     assert(g.sigma === Seq("a", "b", "c"))
@@ -116,14 +120,30 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
-  /** Labelled digraphs of 0–12 nodes over 1–4 labels; self-loops, isolated
-    * nodes and repeated input edges allowed.
+  test("withAddedEdges draws the same edges on fixed seeds") {
+    val pinned = Seq(
+      (TestGraphs.uniform(20, 40, 2, 1), 5, 1L, Seq((7, 13), (9, 13), (14, 4), (14, 6), (18, 8))),
+      (TestGraphs.uniform(20, 40, 2, 2), 5, 2L, Seq((0, 7), (6, 19), (8, 12), (9, 10), (14, 6))),
+      (TestGraphs.uniform(20, 40, 2, 3), 5, 3L, Seq((5, 2), (8, 2), (9, 4), (10, 1), (14, 0))),
+      // 16 of 30 possible edges: draws hit existing and already added edges
+      (TestGraphs.uniform(6, 30, 2, 4), 12, 4L, Seq((0, 3), (0, 5), (1, 5), (2, 1), (2, 4), (3, 0),
+        (3, 2), (3, 5), (4, 2), (5, 1), (5, 2), (5, 3))))
+    for ((base, k, seed, added) <- pinned)
+      assert(base.withAddedEdges(k, new Random(seed)).edges.toSeq === (base.edges ++ added).toSeq.sorted)
+  }
+
+  /** Labels and edge lists of digraphs of 0–12 nodes over 1–4 labels;
+    * self-loops, isolated nodes and repeated input edges allowed.
     */
-  private val graphs: Gen[LocalGraph] = for {
+  private val inputs: Gen[(List[String], List[(Int, Int)])] = for {
     n <- Gen.choose(0, 12)
     edges <- if (n == 0) Gen.const(Nil) else Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
     labels <- Gen.listOfN(n, Gen.oneOf("a", "b", "c", "d"))
-  } yield LocalGraph.fromEdges(labels.toArray, edges)
+  } yield (labels, edges)
+
+  private val graphs: Gen[LocalGraph] = inputs.map { case (labels, edges) => LocalGraph.fromEdges(labels.toArray, edges) }
+
+  private val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1).withInitialSeed(Seed(17L))
 
   /** Σ, the label ids, the label buckets (of Σ and of one absent label), the
     * undirected neighbours and their label counts.
@@ -139,7 +159,6 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("label views and undirected neighbours equal brute force, and are not serialised") {
-    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1).withInitialSeed(Seed(17L))
     var isolated, selfLoops = 0
     val result = Test.check(params, Prop.forAll(graphs) { g =>
       val unread = serialise(g)
@@ -157,6 +176,44 @@ class LocalGraphSpec extends AnyFunSuite {
     })
     assert(result.passed, Pretty.pretty(result))
     assert(isolated > 0 && selfLoops > 0, s"isolated nodes: $isolated; self-loops: $selfLoops")
+  }
+
+  /** Every row sorted and duplicate-free, and `inAdj` the transpose of `outAdj`. */
+  private def wellFormed(g: LocalGraph): Boolean =
+    g.outAdj.length == g.n && g.inAdj.length == g.n &&
+      (g.outAdj ++ g.inAdj).forall(r => r.indices.drop(1).forall(i => r(i - 1) < r(i))) &&
+      (for (v <- 0 until g.n; u <- g.inAdj(v)) yield (u, v)).sorted == g.edges.toSeq
+
+  test("graph ops give well-formed graphs; subgraph and union edges equal brute force") {
+    val cases = for {
+      in1 <- inputs; in2 <- inputs
+      nodes <- if (in1._1.isEmpty) Gen.const(Nil) else Gen.listOf(Gen.choose(0, in1._1.length - 1))
+      k <- Gen.choose(0, 6); seed <- Gen.long
+    } yield (in1, in2, nodes, k, seed)
+    var repeated, selfLoops, isolated = 0
+    val result = Test.check(params, Prop.forAll(cases) { case ((l1, e1), (l2, e2), nodes, k, seed) =>
+      val g = LocalGraph.fromEdges(l1.toArray, e1); val h = LocalGraph.fromEdges(l2.toArray, e2)
+      repeated += e1.length - e1.distinct.length
+      selfLoops += e1.count { case (u, v) => u == v }
+      isolated += (0 until g.n).count(g.undirectedNeighbors(_).isEmpty)
+      val ids = nodes.distinct.sorted
+      val (sub, subIds) = g.inducedSubgraph(nodes.toArray)
+      val subEdges = e1.distinct.collect { case (u, v) if ids.contains(u) && ids.contains(v) => (ids.indexOf(u), ids.indexOf(v)) }
+      val union = g.disjointUnion(h)
+      val unionEdges = (e1 ++ e2.map { case (u, v) => (u + g.n, v + g.n) }).distinct
+      val rnd = new Random(seed)
+      val added = g.withAddedEdges(if (g.n == 0) 0 else k, rnd)
+      val removed = g.withRemovedEdges(k, rnd)
+      val relabelled = g.withPerturbedLabels(k, g.sigma, rnd)
+      Seq(sub, union, added, removed, relabelled).forall(wellFormed) &&
+        subIds.toSeq == ids && sub.labels.toSeq == ids.map(l1) && sub.edges.toSeq == subEdges.sorted &&
+        union.labels.toSeq == l1 ++ l2 && union.edges.toSeq == unionEdges.sorted &&
+        g.edges.forall { case (u, v) => added.hasEdge(u, v) } && removed.edges.forall { case (u, v) => g.hasEdge(u, v) } &&
+        relabelled.edges.toSeq == g.edges.toSeq
+    })
+    assert(result.passed, Pretty.pretty(result))
+    assert(repeated > 0 && selfLoops > 0 && isolated > 0,
+      s"repeated edges: $repeated; self-loops: $selfLoops; isolated nodes: $isolated")
   }
 
   test("empty graph edge cases") {

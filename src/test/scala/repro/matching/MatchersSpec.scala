@@ -57,7 +57,7 @@ class MatchersSpec extends AnyFunSuite {
   test("TSpan returns empty when a query label is absent from the data graph") {
     val (q0, _) = cleanQuery(4, 5)
     val lbl = q0.labels.clone(); lbl(0) = "NO_SUCH_LABEL"
-    val q = new repro.graph.LocalGraph(lbl, q0.outAdj, q0.inAdj)
+    val q = repro.graph.LocalGraph.fromEdges(lbl, q0.edges.toSeq)
     assert(new TSpanMatcher(3).matchQuery(q, data).isEmpty)
   }
 
@@ -75,7 +75,7 @@ class MatchersSpec extends AnyFunSuite {
   test("strong simulation fails on a label-noised query (yes-or-no coarseness)") {
     val (q0, _) = cleanQuery(5, 31)
     val lbl = q0.labels.clone(); lbl(0) = "NO_SUCH_LABEL"
-    val q = new repro.graph.LocalGraph(lbl, q0.outAdj, q0.inAdj)
+    val q = repro.graph.LocalGraph.fromEdges(lbl, q0.edges.toSeq)
     assert(StrongSimulation.firstMatch(q, data).isEmpty)
   }
 
