@@ -149,8 +149,15 @@ final class FinalAligner extends Aligner {
               // weight of (x,y) -> (u,v) is 1/sqrt(d(u)d(v)d(x)d(y)); only
               // same-label cells hold a score, and x ∈ N(u) gives d(x) ≥ 1
               var s = 0.0
-              for (x <- nu; y <- nv if index.ranks(x)(y) >= 0)
-                s += prev(index.slot(x, y)) / math.sqrt(d1(x) * d2(y))
+              var a = 0
+              while (a < nu.length) {
+                val x = nu(a); val rank = index.ranks(x); var b = 0
+                while (b < nv.length) {
+                  val y = nv(b); if (rank(y) >= 0) s += prev(index.slot(x, y)) / math.sqrt(d1(x) * d2(y))
+                  b += 1
+                }
+                a += 1
+              }
               s / math.sqrt(nu.length.toDouble * nv.length)
             }
           next(i) = (1 - alpha) * 1.0 + alpha * structural

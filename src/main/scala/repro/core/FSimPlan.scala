@@ -47,9 +47,13 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   private val off: Array[Int] = countCells()
   private val cellA, cellB, src = new Array[Int](off(2 * size)) // three arrays, written by fillCells
   fillCells(cellA, cellB, src)
+  // G2's |N⁺(v)| and |N⁻(v)|: bounds runs sweep, which reads them, so they come before fixed
+  private val out2 = Array.tabulate(g2.n)(g2.outAdj(_).length)
+  private val in2 = Array.tabulate(g2.n)(g2.inAdj(_).length)
   private val fixed: Array[Double] = bounds()
 
   @transient private lazy val scratch = ThreadLocal.withInitial(() => new Matching.Scratch)
+  @transient private lazy val ones = Array.fill(size)(1.0) // the Eq.-6 bound's neighbour scores
 
   /** Number of candidate pairs |H_c|, the length of the score vector. */
   def size: Int = index.size
@@ -140,43 +144,40 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     scores
   }
 
-  /** One side term of Eq. 3: Mχ over cells lo until hi, weighted by the
-    * previous scores `prev` (or 1 each when `prev` is null), over Ωχ.
-    */
-  private def side(prev: Array[Double], s: Matching.Scratch,
-                   lo: Int, hi: Int, rows: Int, cols: Int): Double = {
-    val len = hi - lo
-    val w = s.weights(len)
-    if (prev == null) java.util.Arrays.fill(w, 0, len, 1.0)
-    else {
-      var k = 0
-      while (k < len) { w(k) = prev(src(lo + k)); k += 1 }
-    }
-    val raw = Matching.mapRaw(cfg.variant, cellA, cellB, lo, len, w, rows, cols, s)
-    Matching.term(cfg.variant, raw, rows, cols)
-  }
+  /** One side term of Eq. 3: Mχ over cells lo until hi, weighted by the scores `w`, over Ωχ. */
+  private def side(w: Array[Double], s: Matching.Scratch, lo: Int, hi: Int, rows: Int, cols: Int): Double =
+    Matching.term(cfg.variant, Matching.mapRaw(cfg.variant, cellA, cellB, lo, hi - lo, w, src, rows, cols, s),
+      rows, cols)
 
   /** Eq. 3 over the pair range lo until hi: sets next(at + i) to FSim^k of
     * pair lo + i from the previous scores `prev`, or to its fixed score if
     * pruned. Ranges are independent, so any split of 0 until size gives the
     * same scores. With `prev` null, sets every pair's Eq.-6 bound instead
-    * (every neighbour score 1). One scratch and one row cursor serve the range.
+    * (every neighbour score 1, read from [[ones]]). One scratch serves the
+    * range, which is walked row by row: u's values are read once per row.
     */
   def sweep(prev: Array[Double], next: Array[Double], lo: Int, hi: Int, at: Int): Unit = {
     val s = scratch.get()
+    val w = if (prev == null) ones else prev
     var u = index.rowOf(lo)
     var p = lo
     while (p < hi) {
-      while (p >= index.rowStart(u + 1)) u += 1
-      next(at + p - lo) =
-        if (prev != null && !maintained(fixed, p)) fixed(p)
-        else {
-          val v = index.col(u, p)
-          cfg.wPlus * side(prev, s, off(2 * p), off(2 * p + 1), g1.outAdj(u).length, g2.outAdj(v).length) +
-            cfg.wMinus * side(prev, s, off(2 * p + 1), off(2 * p + 2), g1.inAdj(u).length, g2.inAdj(v).length) +
-            cfg.wLabel * term(index.l1(u))(l2(v))
-        }
-      p += 1
+      val end = math.min(hi, index.rowStart(u + 1))
+      val row = index.row(u); val shift = index.firstCol(u) - index.rowStart(u)
+      val out1 = g1.outAdj(u).length; val in1 = g1.inAdj(u).length
+      val t = term(index.l1(u))
+      while (p < end) {
+        next(at + p - lo) =
+          if (prev != null && !maintained(fixed, p)) fixed(p)
+          else {
+            val v = row(p + shift)
+            cfg.wPlus * side(w, s, off(2 * p), off(2 * p + 1), out1, out2(v)) +
+              cfg.wMinus * side(w, s, off(2 * p + 1), off(2 * p + 2), in1, in2(v)) +
+              cfg.wLabel * t(l2(v))
+          }
+        p += 1
+      }
+      u += 1
     }
   }
 
@@ -305,7 +306,7 @@ private[repro] final class PairIndex(val l1: Array[Int], eligible2: Array[Array[
   }
 
   /** Where row u's slots start in row(u): at v = u in a half plan (L(a, a) = 1 ≥ θ), else 0. */
-  private val firstCol: Array[Int] = Array.tabulate(n1)(u => if (half) ranks(u)(u) else 0)
+  val firstCol: Array[Int] = Array.tabulate(n1)(u => if (half) ranks(u)(u) else 0)
 
   /** The slot of each row's first pair (n1 + 1 entries); an empty row starts where the next does. */
   val rowStart: Array[Int] = offsets(Array.tabulate(n1)(u => row(u).length - firstCol(u)))

@@ -25,8 +25,9 @@ object Variant {
 /** Mapping operators Mχ and normalizers Ωχ (Eq. 2 / Table 3 of the paper).
   *
   * [[mapRaw]] is the one Mχ kernel. [[FSimPlan]] runs it over its compiled
-  * neighbour cells: with the previous scores as weights it is the Eq.-3
-  * update, with unit weights it is the Eq.-6 upper bound. It works on
+  * neighbour cells, each of which reads its weight from a score vector
+  * through the plan's cell→slot array: on the previous scores it is the
+  * Eq.-3 update, on an all-ones vector the Eq.-6 upper bound. It works on
   * primitive arrays and a caller-owned [[Scratch]], so it allocates nothing
   * once the scratch has grown to the largest block. Tie-breaking is
   * deterministic, so scores do not depend on how the pairs are distributed.
@@ -79,36 +80,34 @@ object Matching {
     * of the Eq.-6 upper bound.
     *
     * The block has rows 0 until n1 (S1) and columns 0 until n2 (S2). Its
-    * `len` cells are (a(from + k), b(from + k)) with weight w(k), listed in
-    * ascending (a, b) order; only L ≥ θ pairs may be passed in, eligibility
-    * is the caller's job (Remark 2, label-constrained mapping).
+    * `len` cells are (a(from + k), b(from + k)) with weight w(src(from + k)),
+    * in ascending (a, b) order, so each row's cells are one run; only L ≥ θ
+    * pairs may be passed in, eligibility is the caller's job (Remark 2).
     *
-    * s/b sum per-row (and per-column) maxima in ascending index order. dp/bj
-    * and RoleSim use the greedy approximation of maximum weighted matching
-    * the paper adopts from [23], after an exact pass over the weight-1
-    * cells. The SimRank configuration sums every weight in cell order.
+    * s and b's row half sum each run's maximum in ascending row order, b's
+    * column half the per-column maxima in ascending column order. dp/bj and
+    * RoleSim gather the weights into [[Scratch.weights]] for the greedy
+    * approximation of maximum weighted matching the paper adopts from [23],
+    * after an exact pass over the weight-1 cells. The SimRank configuration
+    * sums every weight in cell order.
     *
     * Blocks of 0 or 1 cells, most blocks of a sparse graph at θ = 1, return
     * before the scratch is touched, with the value the general path gives
     * bit for bit.
     */
   def mapRaw(variant: Variant, a: Array[Int], b: Array[Int], from: Int, len: Int,
-             w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
+             w: Array[Double], src: Array[Int], n1: Int, n2: Int, s: Scratch): Double = {
     if (len == 0) return 0.0
-    if (len == 1) return variant match {
-      case Variant.B => w(0) + w(0)
-      case Variant.DP | Variant.BJ | Variant.RoleSimCfg => if (w(0) >= 1.0 - OneEps) 1.0 else w(0)
-      case Variant.S | Variant.SimRankCfg => w(0)
-    }
-    s.ensure(len, n1, n2)
+    if (len == 1) return oneCell(variant, w(src(from)))
+    if (variant != Variant.S) s.ensure(len, n1, n2)
     variant match {
-      case Variant.S  => sumMax(a, from, len, w, n1, s.best)
-      case Variant.B  => sumMax(a, from, len, w, n1, s.best) + sumMax(b, from, len, w, n2, s.best)
-      case Variant.DP | Variant.BJ | Variant.RoleSimCfg => greedyMatchSum(a, b, from, len, w, n1, n2, s)
+      case Variant.S  => sumRowMax(a, from, len, w, src)
+      case Variant.B  => sumRowMax(a, from, len, w, src) + sumColMax(b, from, len, w, src, n2, s.best)
+      case Variant.DP | Variant.BJ | Variant.RoleSimCfg => greedyMatchSum(a, b, from, len, w, src, n1, n2, s)
       case Variant.SimRankCfg =>
         var sum = 0.0
-        var k = 0
-        while (k < len) { sum += w(k); k += 1 }
+        var k = from
+        while (k < from + len) { sum += w(src(k)); k += 1 }
         sum
     }
   }
@@ -132,22 +131,36 @@ object Matching {
       else raw / math.max(n1, n2)
   }
 
-  /** Σ over the keys 0 until n that own a cell of the largest w among them. */
-  private def sumMax(key: Array[Int], from: Int, len: Int, w: Array[Double], n: Int,
-                     best: Array[Double]): Double = {
-    java.util.Arrays.fill(best, 0, n, -1.0)
-    var k = 0
-    while (k < len) {
-      val i = key(from + k)
-      if (w(k) > best(i)) best(i) = w(k)
-      k += 1
-    }
+  // kept out of mapRaw, like greedyMatchSum's gather, so that mapRaw stays under the JIT's inlining size
+  private def oneCell(variant: Variant, w0: Double): Double = variant match {
+    case Variant.B => w0 + w0
+    case Variant.DP | Variant.BJ | Variant.RoleSimCfg => if (w0 >= 1.0 - OneEps) 1.0 else w0
+    case Variant.S | Variant.SimRankCfg => w0
+  }
+
+  /** Σ over the runs of equal row in a(from until from + len) of the largest weight in the run. */
+  private def sumRowMax(a: Array[Int], from: Int, len: Int, w: Array[Double], src: Array[Int]): Double = {
     var sum = 0.0
-    var i = 0
-    while (i < n) {
-      if (best(i) > -1.0) sum += best(i)
-      i += 1
+    var k = from
+    while (k < from + len) {
+      val row = a(k)
+      var max = w(src(k))
+      k += 1
+      while (k < from + len && a(k) == row) { val x = w(src(k)); if (x > max) max = x; k += 1 }
+      sum += max
     }
+    sum
+  }
+
+  /** Σ over the columns 0 until n that own a cell of the largest weight among them. */
+  private def sumColMax(b: Array[Int], from: Int, len: Int, w: Array[Double], src: Array[Int], n: Int,
+                        best: Array[Double]): Double = {
+    java.util.Arrays.fill(best, 0, n, -1.0)
+    var k = from
+    while (k < from + len) { val x = w(src(k)); if (x > best(b(k))) best(b(k)) = x; k += 1 }
+    var sum = 0.0
+    var j = 0
+    while (j < n) { if (best(j) > -1.0) sum += best(j); j += 1 }
     sum
   }
 
@@ -167,14 +180,18 @@ object Matching {
     * exact pass left free; it would skip the other cells, the stable sort
     * keeps their order, and weight-0 cells sort last and add +0.0, so the
     * sum is unchanged bit for bit. If no cell is left, as when every cell
-    * weighs 1, the Kuhn count is the result.
+    * weighs 1, the Kuhn count is the result. The cells' weights
+    * scores(src(from + k)) are first gathered into [[Scratch.weights]].
     *
     * Above [[MergeMinFree]] free cells, at [[MergeMinRun]] or more per row that has one, [[mergeRows]]
     * merges sorted rows instead of one sort: under the strict (weight desc, cell asc) order greedy is the
     * locally dominant matching (Preis, STACS 1999), so it takes the same cells and adds them in order.
     */
   private def greedyMatchSum(a: Array[Int], b: Array[Int], from: Int, len: Int,
-                             w: Array[Double], n1: Int, n2: Int, s: Scratch): Double = {
+                             scores: Array[Double], src: Array[Int], n1: Int, n2: Int, s: Scratch): Double = {
+    val w = s.weights(len)
+    var k = 0
+    while (k < len) { w(k) = scores(src(from + k)); k += 1 }
     val usedA = s.usedA; val usedB = s.usedB
     java.util.Arrays.fill(usedA, 0, n1, false)
     java.util.Arrays.fill(usedB, 0, n2, false)
@@ -183,7 +200,7 @@ object Matching {
     val off = s.onesOff; val col = s.onesCol
     java.util.Arrays.fill(off, 0, n1 + 1, 0)
     var ones = 0
-    var k = 0
+    k = 0
     while (k < len) {
       if (w(k) >= 1.0 - OneEps) { off(a(from + k) + 1) += 1; col(ones) = b(from + k); ones += 1 }
       k += 1

@@ -134,8 +134,9 @@ final class LocalGraph private (
     inducedSubgraph(ball(start, size))
   }
 
-  /** Copy with `k` random edges added (structural noise, §5.2 / Table 6). */
+  /** Copy with `k` random edges added (structural noise, §5.2 / Table 6); an empty graph has none to add. */
   def withAddedEdges(k: Int, rnd: Random): LocalGraph = {
+    if (n == 0) return this
     val added = mutable.HashSet[(Int, Int)]()
     var tries = 0
     while (added.size < k && tries < 100 * (k + 1)) {

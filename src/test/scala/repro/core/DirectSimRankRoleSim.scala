@@ -59,7 +59,7 @@ object DirectSimRankRoleSim {
           for (a <- 0 until d(u); b <- 0 until d(v)) {
             ca(k) = a; cb(k) = b; w(k) = prev(adj(u)(a))(adj(v)(b)); k += 1
           }
-          val raw = Matching.mapRaw(Variant.RoleSimCfg, ca, cb, 0, k, w, d(u), d(v), scratch)
+          val raw = Matching.mapRaw(Variant.RoleSimCfg, ca, cb, 0, k, w, Array.range(0, k), d(u), d(v), scratch)
           (1 - beta) * raw / math.max(d(u), d(v)) + beta
         }
       }

@@ -2,8 +2,10 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.exp.Table6
 import repro.graph.{DbisGen, GraphGen}
 import scala.io.Source
+import scala.util.Random
 
 /** Full score vectors recorded with the earlier Mχ kernel (HashMap/HashSet
   * bookkeeping over boxed candidates), before the neighbour-pair plan was
@@ -11,7 +13,8 @@ import scala.io.Source
   * for bit. s and b sum the per-row (and per-column) maxima; the old kernel
   * summed them in HashMap iteration order, which is not ascending once node
   * ids reach 16, while the compiled kernel sums in ascending order. So those
-  * two are compared per score within 1e-12 against the stored vectors.
+  * two are compared per score within 1e-12 against the stored vectors, and
+  * pinned bit for bit at θ = 0 by checksums recorded with the compiled kernel.
   */
 class GoldenScoresSpec extends AnyFunSuite {
 
@@ -74,6 +77,17 @@ class GoldenScoresSpec extends AnyFunSuite {
     val und = SimRankRoleSim.undirectedView(g)
     assertBits(FSimLocal.compute(und, und, SimRankRoleSim.roleSimConfig().copy(ub = ub)), 112, 10,
       2322622809790165517L)
+  }
+
+  test("golden: s at θ=0 on a Table-6 query against an Amazon-like graph, bitwise") {
+    // FSimMatcher's shape: a noised 12-node query G1 ≠ G2 against the data graph, every pair eligible
+    val data = GraphGen.amazonLike(1500, seed = 3L)
+    val (query, _) = Table6.makeQuery(data, "Combined", new Random(11))
+    assertBits(FSimLocal.compute(query, data, cfg(Variant.S).copy(theta = 0.0)), 18000, 10, -4682728294457391252L)
+  }
+
+  test("golden: b at θ=0 on a GraphGen graph, bitwise") {
+    assertBits(FSimLocal.compute(gen, gen, cfg(Variant.B).copy(theta = 0.0)), 3600, 8, 6988537777997544213L)
   }
 
   for (variant <- Seq(Variant.S, Variant.B)) {

@@ -27,7 +27,7 @@ object MatchingOracle {
     val cells = pairs.sortBy(c => (c.x, c.y)).toArray
     val w = s.weights(cells.length)
     for (k <- cells.indices) w(k) = cells(k).w
-    Matching.mapRaw(variant, cells.map(_.x), cells.map(_.y), 0, cells.length, w, n1, n2, s)
+    Matching.mapRaw(variant, cells.map(_.x), cells.map(_.y), 0, cells.length, w, cells.indices.toArray, n1, n2, s)
   }
 
   def kernel(variant: Variant, pairs: Seq[Cand]): Double =

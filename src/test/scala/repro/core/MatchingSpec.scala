@@ -188,6 +188,12 @@ class MatchingSpec extends AnyFunSuite {
 
   private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
 
+  /** Σ over the keys of `ps` of their largest weight, in ascending key order: the order in which
+    * the kernel adds s's row maxima and b's row, then column, maxima.
+    */
+  private def ascendingMax(ps: Seq[Cand], key: Cand => Int): Double =
+    ps.groupBy(key).toSeq.sortBy(_._1).foldLeft(0.0)((sum, g) => sum + g._2.map(_.w).max)
+
   test("blocks of 0 and 1 cells equal the reference kernel bit for bit, all six variants") {
     val scratch = new Matching.Scratch
     for (v <- variants) {
@@ -206,9 +212,16 @@ class MatchingSpec extends AnyFunSuite {
     val scratch = new Matching.Scratch
     val cellCounts = scala.collection.mutable.Set[Int]()
     var allOnes, partlyFree, zeroFree = 0
+    // s and b sum a maximum per run of equal row: runs of several cells, runs with
+    // empty rows between them, and the 1-cell shortcut
+    var longRun, rowGap, oneCell = 0
     val paths = new GreedyPaths
     def prop(gen: Gen[(Int, Int, Seq[Cand])]) = Prop.forAll(gen) { case (n1, n2, ps) =>
       cellCounts += ps.size
+      val rows = ps.map(_.x).distinct.sorted
+      if (rows.size < ps.size) longRun += 1
+      if (rows.zip(rows.drop(1)).exists { case (x, y) => y > x + 1 }) rowGap += 1
+      if (ps.size == 1) oneCell += 1
       paths.add(ps)
       if (ps.size >= 2 && ps.forall(_.w >= 1.0 - 1e-9)) allOnes += 1
       val free = MatchingOracle.freeAfterOnes(ps)
@@ -217,7 +230,9 @@ class MatchingSpec extends AnyFunSuite {
       variants.forall { v =>
         val got = MatchingOracle.kernel(v, ps, n1, n2, scratch)
         val want = MatchingOracle.mapRaw(v, ps)
-        if (v == Variant.S || v == Variant.B) math.abs(got - want) <= 1e-12
+        if (v == Variant.S) bits(got) == bits(ascendingMax(ps, _.x)) && math.abs(got - want) <= 1e-12
+        else if (v == Variant.B)
+          bits(got) == bits(ascendingMax(ps, _.x) + ascendingMax(ps, _.y)) && math.abs(got - want) <= 1e-12
         else bits(got) == bits(want)
       }
     }
@@ -231,7 +246,9 @@ class MatchingSpec extends AnyFunSuite {
     val ties = Test.check(params.withMinSuccessfulTests(100), prop(tieBlockGen))
     assert(ties.passed, Pretty.pretty(ties))
     // the kernel returns early for these, so the generator must draw them
-    assert(cellCounts(0) && cellCounts(1), "no block of 0 or 1 cells drawn")
+    assert(cellCounts(0) && oneCell > 0, "no block of 0 or 1 cells drawn")
+    assert(longRun > 0, "no block with several cells in one row")
+    assert(rowGap > 0, "no block with an empty row between rows that have cells")
     // the greedy kernel returns the Kuhn count when no cell is left free,
     // and sorts a strict subset of the cells when some are
     assert(allOnes > 0, "no block of two or more weight-1 cells drawn")
@@ -242,7 +259,8 @@ class MatchingSpec extends AnyFunSuite {
     paths.check()
     // and the row merge's tie order between rows changes the sum of some
     assert(paths.rowMergeTies > 0, "no row-merge block whose greedy sum changes if the higher row wins a tie")
-    info(s"blocks of >= 2 weight-1 cells: $allOnes; left partly free: $partlyFree; " +
+    info(s"blocks with several cells in a row: $longRun; with an empty row between rows: $rowGap; " +
+      s"of one cell: $oneCell; of >= 2 weight-1 cells: $allOnes; left partly free: $partlyFree; " +
       s"with a free weight-0 cell: $zeroFree; $paths")
   }
 

@@ -190,7 +190,7 @@ class LocalGraphSpec extends AnyFunSuite {
       nodes <- if (in1._1.isEmpty) Gen.const(Nil) else Gen.listOf(Gen.choose(0, in1._1.length - 1))
       k <- Gen.choose(0, 6); seed <- Gen.long
     } yield (in1, in2, nodes, k, seed)
-    var repeated, selfLoops, isolated = 0
+    var repeated, selfLoops, isolated, addedToEmpty = 0
     val result = Test.check(params, Prop.forAll(cases) { case ((l1, e1), (l2, e2), nodes, k, seed) =>
       val g = LocalGraph.fromEdges(l1.toArray, e1); val h = LocalGraph.fromEdges(l2.toArray, e2)
       repeated += e1.length - e1.distinct.length
@@ -202,7 +202,8 @@ class LocalGraphSpec extends AnyFunSuite {
       val union = g.disjointUnion(h)
       val unionEdges = (e1 ++ e2.map { case (u, v) => (u + g.n, v + g.n) }).distinct
       val rnd = new Random(seed)
-      val added = g.withAddedEdges(if (g.n == 0) 0 else k, rnd)
+      if (g.n == 0 && k > 0) addedToEmpty += 1
+      val added = g.withAddedEdges(k, rnd)
       val removed = g.withRemovedEdges(k, rnd)
       val relabelled = g.withPerturbedLabels(k, g.sigma, rnd)
       Seq(sub, union, added, removed, relabelled).forall(wellFormed) &&
@@ -212,12 +213,18 @@ class LocalGraphSpec extends AnyFunSuite {
         relabelled.edges.toSeq == g.edges.toSeq
     })
     assert(result.passed, Pretty.pretty(result))
-    assert(repeated > 0 && selfLoops > 0 && isolated > 0,
-      s"repeated edges: $repeated; self-loops: $selfLoops; isolated nodes: $isolated")
+    assert(repeated > 0 && selfLoops > 0 && isolated > 0 && addedToEmpty > 0,
+      s"repeated edges: $repeated; self-loops: $selfLoops; isolated nodes: $isolated; " +
+        s"edges added to an empty graph: $addedToEmpty")
   }
 
   test("empty graph edge cases") {
     val e = LocalGraph.fromEdges(Array.empty[String], Seq.empty)
     assert(e.n === 0 && e.m === 0 && e.outAdj.isEmpty && e.edges.isEmpty)
+    // there is no pair to draw, so adding edges leaves the graph empty
+    for (k <- Seq(0, 1, 5)) {
+      val added = e.withAddedEdges(k, new Random(k))
+      assert(added.n === 0 && added.edges.isEmpty, s"k = $k")
+    }
   }
 }
