@@ -68,7 +68,7 @@ object FSimLocal {
     val plan = new FSimPlan(g1, g2, cfg)
     val cuts = plan.cuts(FSimPlan.localRanges)
     plan.converge { (prev, next) =>
-      FSimPlan.inParallel(cuts)((lo, hi) => plan.sweep(prev, next, lo, hi, lo))
+      FSimPlan.maxInParallel(cuts)((lo, hi) => plan.sweep(prev, next, lo, hi, lo))
     }
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.stream.IntStream
 import repro.graph.LocalGraph
-import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, offsets}
+import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, prefixSum}
 
 /** Algorithm 1 for one (G1, G2, cfg), prepared once in four phases: the
   * label term per label pair and H_c ([[candidates]]), the neighbour cells
@@ -46,10 +46,10 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   private[core] val index: PairIndex = candidates()
   private val off: Array[Int] = countCells()
   private val cellA, cellB, src = new Array[Int](off(2 * size)) // three arrays, written by fillCells
-  fillCells(cellA, cellB, src)
+  fillCells()
   // G2's |N⁺(v)| and |N⁻(v)|: bounds runs sweep, which reads them, so they come before fixed
-  private val out2 = Array.tabulate(g2.n)(g2.outAdj(_).length)
-  private val in2 = Array.tabulate(g2.n)(g2.inAdj(_).length)
+  private val out2 = g2.outDegrees
+  private val in2 = g2.inDegrees
   private val fixed: Array[Double] = bounds()
 
   @transient private lazy val scratch = ThreadLocal.withInitial(() => new Matching.Scratch)
@@ -58,23 +58,30 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   /** Number of candidate pairs |H_c|, the length of the score vector. */
   def size: Int = index.size
 
-  /** The number of eligible cells of s1 × s2; unless null, cellA, cellB and src (the neighbour
-    * pair's slot) get them in (a, b) order from cell `at`.
+  /** The number of eligible cells of s1 × s2; with `fill`, cellA, cellB and src (the neighbour
+    * pair's slot) get them in (a, b) order from cell `at`. A count skips the rank tests of a row x
+    * eligible with all of V2. A slot is base(x) plus the rank just tested; only a half plan's
+    * mirrored cells (y < x) ask [[PairIndex.slot]].
     */
-  private def sideCells(s1: Array[Int], s2: Array[Int],
-                        cellA: Array[Int], cellB: Array[Int], src: Array[Int], at: Int): Int = {
+  private def sideCells(s1: Array[Int], s2: Array[Int], fill: Boolean, at: Int): Int = {
     var c = at
     var a = 0
     while (a < s1.length) {
       val x = s1(a)
-      val rank = index.ranks(x)
-      var b = 0
-      while (b < s2.length) {
-        if (rank(s2(b)) >= 0) {
-          if (src != null) { src(c) = index.slot(x, s2(b)); cellA(c) = a; cellB(c) = b }
-          c += 1
+      if (!fill && index.row(x).length == g2.n) c += s2.length
+      else {
+        val rank = index.ranks(x); val base = index.base(x)
+        var b = 0
+        while (b < s2.length) {
+          val y = s2(b); val r = rank(y)
+          if (r >= 0) {
+            if (fill) {
+              src(c) = if (index.half && y < x) index.slot(x, y) else base + r; cellA(c) = a; cellB(c) = b
+            }
+            c += 1
+          }
+          b += 1
         }
-        b += 1
       }
       a += 1
     }
@@ -83,10 +90,12 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   /** Phase 1: the [[PairIndex]] of H_c's L ≥ θ pairs (half on G1 = G2 for b, bj and RoleSim), read
     * from the label matrix `term`, which it then turns into the label term: L, or 0 for §4.3
-    * SimRank, 1 for RoleSim.
+    * SimRank, 1 for RoleSim. Σ1 labels with the same eligible Σ2 labels share one eligible row.
     */
   private def candidates(): PairIndex = {
-    val eligible2 = term.map(l => IntStream.range(0, g2.n).filter(y => l(l2(y)) >= cfg.theta).toArray)
+    val rows = scala.collection.mutable.HashMap.empty[Seq[Boolean], Array[Int]]
+    val eligible2 = term.map(l => rows.getOrElseUpdate(l.map(_ >= cfg.theta).toSeq,
+      IntStream.range(0, g2.n).filter(y => l(l2(y)) >= cfg.theta).toArray))
     if (cfg.variant == Variant.SimRankCfg || cfg.variant == Variant.RoleSimCfg)
       term.foreach(java.util.Arrays.fill(_, if (cfg.variant == Variant.RoleSimCfg) 1.0 else 0.0))
     new PairIndex(g1.labelId, eligible2, g2.n,
@@ -95,21 +104,21 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   /** Phase 2: the CSR offsets of the cells per pair side, counted in parallel row by row. */
   private def countCells(): Array[Int] = {
-    val counts = new Array[Int](2 * size)
+    val off = new Array[Int](2 * size + 1)
     inParallel(index.rowStart)((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
       val v = index.col(u, p)
-      counts(2 * p) = sideCells(g1.outAdj(u), g2.outAdj(v), null, null, null, 0)
-      counts(2 * p + 1) = sideCells(g1.inAdj(u), g2.inAdj(v), null, null, null, 0)
+      off(2 * p + 1) = sideCells(g1.outAdj(u), g2.outAdj(v), fill = false, 0)
+      off(2 * p + 2) = sideCells(g1.inAdj(u), g2.inAdj(v), fill = false, 0)
     })
-    offsets(counts)
+    prefixSum(off)
   }
 
   /** Phase 3: every pair side's cells, written from its offset, over the ranges of [[cuts]]. */
-  private def fillCells(cellA: Array[Int], cellB: Array[Int], src: Array[Int]): Unit =
+  private def fillCells(): Unit =
     inParallel(cuts(localRanges))((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
       val v = index.col(u, p)
-      sideCells(g1.outAdj(u), g2.outAdj(v), cellA, cellB, src, off(2 * p))
-      sideCells(g1.inAdj(u), g2.inAdj(v), cellA, cellB, src, off(2 * p + 1))
+      sideCells(g1.outAdj(u), g2.outAdj(v), fill = true, off(2 * p))
+      sideCells(g1.inAdj(u), g2.inAdj(v), fill = true, off(2 * p + 1))
     })
 
   /** Phase 4, upper-bound updating (§3.4), null when off: per pair, NaN if its Eq.-6 bound is
@@ -127,20 +136,20 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   /** Phase 5, run by each [[converge]], whose loop overwrites it: FSim⁰ per pair. Its fixed
     * score if pruned; for §4.3 RoleSim min(d)/max(d) of the out-degrees (undirected on §4.3's
     * view), or 1 when both are 0; else the label term: L(u, v) for the paper's variants, 0 for
-    * §4.3 SimRank, whose maintained diagonal [[pin]] then sets to 1.
+    * §4.3 SimRank, whose maintained diagonal is pinned to 1.
     */
   private def fsim0(): Array[Double] = {
     val scores = new Array[Double](size)
     inParallel(cuts(localRanges))((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
       scores(p) =
         if (!maintained(fixed, p)) fixed(p)
+        else if (cfg.variant == Variant.SimRankCfg && index.col(u, p) == u) 1.0
         else if (cfg.variant != Variant.RoleSimCfg) term(index.l1(u))(l2(index.col(u, p)))
         else {
           val (du, dv) = (g1.outAdj(u).length, g2.outAdj(index.col(u, p)).length)
           if (math.max(du, dv) == 0) 1.0 else math.min(du, dv).toDouble / math.max(du, dv)
         }
     })
-    if (cfg.variant == Variant.SimRankCfg) pin(scores)
     scores
   }
 
@@ -149,36 +158,41 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     Matching.term(cfg.variant, Matching.mapRaw(cfg.variant, cellA, cellB, lo, hi - lo, w, src, rows, cols, s),
       rows, cols)
 
-  /** Eq. 3 over the pair range lo until hi: sets next(at + i) to FSim^k of
-    * pair lo + i from the previous scores `prev`, or to its fixed score if
-    * pruned. Ranges are independent, so any split of 0 until size gives the
-    * same scores. With `prev` null, sets every pair's Eq.-6 bound instead
-    * (every neighbour score 1, read from [[ones]]). One scratch serves the
-    * range, which is walked row by row: u's values are read once per row.
+  /** Eq. 3 over the pair range lo until hi: sets next(at + i) to FSim^k of pair lo + i from the
+    * previous scores `prev` (1 on §4.3 SimRank's diagonal), or to its fixed score if pruned, and
+    * returns the range's max |Δ|. Ranges are independent, so any split of 0 until size gives the
+    * same scores. With `prev` null, sets every pair's Eq.-6 bound instead (every neighbour score 1,
+    * read from [[ones]]) and returns 0. One scratch serves the range, walked row by row: u's
+    * values are read once per row.
     */
-  def sweep(prev: Array[Double], next: Array[Double], lo: Int, hi: Int, at: Int): Unit = {
+  def sweep(prev: Array[Double], next: Array[Double], lo: Int, hi: Int, at: Int): Double = {
     val s = scratch.get()
     val w = if (prev == null) ones else prev
+    val pin = prev != null && cfg.variant == Variant.SimRankCfg
+    var delta = 0.0
     var u = index.rowOf(lo)
     var p = lo
     while (p < hi) {
       val end = math.min(hi, index.rowStart(u + 1))
-      val row = index.row(u); val shift = index.firstCol(u) - index.rowStart(u)
+      val row = index.row(u); val base = index.base(u)
       val out1 = g1.outAdj(u).length; val in1 = g1.inAdj(u).length
       val t = term(index.l1(u))
       while (p < end) {
-        next(at + p - lo) =
+        val v = row(p - base)
+        val x =
           if (prev != null && !maintained(fixed, p)) fixed(p)
-          else {
-            val v = row(p + shift)
+          else if (pin && u == v) 1.0
+          else
             cfg.wPlus * side(w, s, off(2 * p), off(2 * p + 1), out1, out2(v)) +
               cfg.wMinus * side(w, s, off(2 * p + 1), off(2 * p + 2), in1, in2(v)) +
               cfg.wLabel * t(l2(v))
-          }
+        next(at + p - lo) = x
+        if (prev != null) { val d = math.abs(x - prev(p)); if (d > delta) delta = d }
         p += 1
       }
       u += 1
     }
+    delta
   }
 
   /** The sweep cost of pair p that [[cuts]] balances: its cells plus PairCost. */
@@ -212,11 +226,12 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
   /** The fixpoint loop of Algorithm 1, from FSim⁰ until max |Δ| < ε (or for
     * exactly `exactIters` sweeps), capped by Corollary 1 and [[MaxIters]].
-    * `sweep(prev, next)` must set next to FSim^k from prev, e.g. by running
-    * [[sweep]] over the ranges of some [[cuts]]. The result reads the final
-    * score vector through the plan's [[PairIndex]].
+    * `sweep(prev, next)` must set next to FSim^k from prev and return max |Δ|,
+    * e.g. by running [[sweep]] over the ranges of some [[cuts]] and taking the
+    * max of what they return. The result reads the final score vector through
+    * the plan's [[PairIndex]].
     */
-  def converge(sweep: (Array[Double], Array[Double]) => Unit): FSimResult = {
+  def converge(sweep: (Array[Double], Array[Double]) => Double): FSimResult = {
     var prev = fsim0()
     var next = new Array[Double](size)
     val cap = cfg.exactIters.getOrElse(math.min(MaxIters, cfg.iterationBound.toLong + 1).toInt)
@@ -224,15 +239,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     var delta = Double.MaxValue
     var done = false
     while (!done && iter < cap) {
-      sweep(prev, next)
-      if (cfg.variant == Variant.SimRankCfg) pin(next)
-      delta = 0.0
-      var j = 0
-      while (j < size) {
-        val d = math.abs(next(j) - prev(j))
-        if (d > delta) delta = d
-        j += 1
-      }
+      delta = sweep(prev, next)
       val t = prev; prev = next; next = t
       iter += 1
       if (cfg.exactIters.isEmpty && delta < cfg.epsilon) done = true
@@ -240,11 +247,6 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
 
     new FSimResult(index, fixed, prev, iter, delta)
   }
-
-  /** Sets the maintained diagonal pairs to 1. */
-  private def pin(scores: Array[Double]): Unit =
-    for (u <- 0 until math.min(g1.n, g2.n) if index.ranks(u)(u) >= 0 && maintained(fixed, index.slot(u, u)))
-      scores(index.slot(u, u)) = 1.0
 }
 
 private object FSimPlan {
@@ -262,15 +264,16 @@ private object FSimPlan {
     */
   def localRanges: Int = 16 * java.util.concurrent.ForkJoinPool.getCommonPoolParallelism
 
-  /** CSR offsets from counts (of pairs per u, or of cells per pair side). */
-  def offsets(counts: Array[Int]): Array[Int] = {
-    val off = new Array[Int](counts.length + 1)
+  /** CSR offsets in place from counts (of pairs per u, or of cells per pair side) stored at 1
+    * until off.length, with off(0) = 0: afterwards off(i) is the sum of the counts before i.
+    */
+  def prefixSum(off: Array[Int]): Array[Int] = {
     var total = 0L
-    var i = 0
-    while (i < counts.length) {
-      total += counts(i)
+    var i = 1
+    while (i < off.length) {
+      total += off(i)
       require(total <= Int.MaxValue, s"plan exceeds ${Int.MaxValue} pairs or cells")
-      off(i + 1) = total.toInt
+      off(i) = total.toInt
       i += 1
     }
     off
@@ -282,6 +285,10 @@ private object FSimPlan {
   /** Runs body(c(i), c(i + 1)) for every range of the cuts `c`, in parallel. */
   def inParallel(c: Array[Int])(body: (Int, Int) => Unit): Unit =
     IntStream.range(0, c.length - 1).parallel().forEach(i => body(c(i), c(i + 1)))
+
+  /** The max of body(c(i), c(i + 1)) over the ranges of the cuts `c`, run in parallel; 0 if none. */
+  def maxInParallel(c: Array[Int])(body: (Int, Int) => Double): Double =
+    IntStream.range(0, c.length - 1).parallel().mapToDouble(i => body(c(i), c(i + 1))).max().orElse(0.0)
 }
 
 /** The one map from a pair to its score-vector slot and back, which
@@ -290,26 +297,30 @@ private object FSimPlan {
   * same L ≥ θ pairs, so [[slot]](x, y) is computed, not searched: row x's
   * start plus y's rank in [[row]](x), the g2 nodes x's label (`l1(x)`) may
   * pair with (`eligible2`). Slots run in (u, v) order; a half plan (G1 = G2,
-  * P3) keeps only u ≤ v and reads (x, y), y < x, as (y, x). The ranks take
-  * |Σ1| × |V2| ints, and the Spark broadcast carries them with the plan.
+  * P3) keeps only u ≤ v and reads (x, y), y < x, as (y, x). Labels that
+  * share one eligible2 array share one rank array of |V2| ints, and the Spark
+  * broadcast carries each once with the plan.
   */
 private[repro] final class PairIndex(val l1: Array[Int], eligible2: Array[Array[Int]], val n2: Int,
-                                     half: Boolean) extends Serializable {
+                                     val half: Boolean) extends Serializable {
 
   def n1: Int = l1.length
 
-  /** rank2(a)(y): y's index in eligible2(a), or −1 if y is not eligible. */
-  private val rank2: Array[Array[Int]] = eligible2.map { vs =>
-    val rank = new Array[Int](n2); java.util.Arrays.fill(rank, -1)
-    for (i <- vs.indices) rank(vs(i)) = i
-    rank
+  /** rank2(a)(y): y's index in eligible2(a), or −1 if y is not eligible; one array per distinct row. */
+  private val rank2: Array[Array[Int]] = {
+    val shared = new java.util.IdentityHashMap[Array[Int], Array[Int]]
+    eligible2.map(shared.computeIfAbsent(_, { vs =>
+      val rank = new Array[Int](n2); java.util.Arrays.fill(rank, -1)
+      for (i <- vs.indices) rank(vs(i)) = i; rank
+    }))
   }
 
   /** Where row u's slots start in row(u): at v = u in a half plan (L(a, a) = 1 ≥ θ), else 0. */
-  val firstCol: Array[Int] = Array.tabulate(n1)(u => if (half) ranks(u)(u) else 0)
+  private val firstCol: Array[Int] = Array.tabulate(n1)(u => if (half) ranks(u)(u) else 0)
 
   /** The slot of each row's first pair (n1 + 1 entries); an empty row starts where the next does. */
-  val rowStart: Array[Int] = offsets(Array.tabulate(n1)(u => row(u).length - firstCol(u)))
+  val rowStart: Array[Int] =
+    prefixSum(Array.tabulate(n1 + 1)(u => if (u == 0) 0 else row(u - 1).length - firstCol(u - 1)))
 
   /** Number of slots, |H_c|. */
   def size: Int = rowStart(n1)
@@ -337,11 +348,12 @@ private[repro] final class PairIndex(val l1: Array[Int], eligible2: Array[Array[
     }
   }
 
+  /** Row x's slot base: slot(x, y) = base(x) + y's rank, unless a half plan mirrors (x, y). */
+  def base(x: Int): Int = rowStart(x) - firstCol(x)
+
   /** The g2 node v of slot p in row u, so that slot(u, v) == p. */
-  def col(u: Int, p: Int): Int = row(u)(p - rowStart(u) + firstCol(u))
+  def col(u: Int, p: Int): Int = row(u)(p - base(u))
 
   /** The slot of the eligible pair (x, y); a half plan reads (y, x) when y < x. */
-  def slot(x: Int, y: Int): Int =
-    if (half && y < x) rowStart(y) - firstCol(y) + ranks(y)(x)
-    else rowStart(x) - firstCol(x) + ranks(x)(y)
+  def slot(x: Int, y: Int): Int = if (half && y < x) base(y) + ranks(y)(x) else base(x) + ranks(x)(y)
 }

@@ -11,8 +11,9 @@ import repro.graph.{GraphFrames, LocalGraph}
   * cost-balanced [[FSimPlan.cuts]], so blocks hold near-equal neighbour
   * cells rather than equal pair counts. Each iteration broadcasts
   * FSim^{k-1}, and one `mapPartitions` task per block runs
-  * [[FSimPlan.sweep]] over its range and returns that slice of FSim^k; the
-  * max |Δ| < ε test runs in [[FSimPlan.converge]], outside the tasks.
+  * [[FSimPlan.sweep]] over its range and returns that slice of FSim^k with
+  * the slice's max |Δ|; the max |Δ| < ε test runs in [[FSimPlan.converge]],
+  * outside the tasks.
   * Nothing is shuffled, so the scores equal FSimLocal's by construction and
   * do not depend on the shuffle partition count. The result is the
   * [[FSimResult]] that `converge` builds on the driver.
@@ -42,14 +43,15 @@ object FSimSpark {
     val blocks = sc.parallelize(cuts.init.zip(cuts.tail).toSeq, nBlocks)
     val res = plan.converge { (prev, next) =>
       val prevB = sc.broadcast(prev)
-      blocks.mapPartitions(_.map { case (lo, hi) =>
+      val delta = blocks.mapPartitions(_.map { case (lo, hi) =>
         val slice = new Array[Double](hi - lo)
-        planB.value.sweep(prevB.value, slice, lo, hi, 0)
-        (lo, slice)
-      }).collect().foreach { case (lo, slice) =>
+        (lo, slice, planB.value.sweep(prevB.value, slice, lo, hi, 0))
+      }).collect().foldLeft(0.0) { case (max, (lo, slice, d)) =>
         System.arraycopy(slice, 0, next, lo, slice.length)
+        math.max(max, d)
       }
       prevB.destroy()
+      delta
     }
     planB.destroy()
     res

@@ -11,8 +11,8 @@ import scala.util.Random
   * input of both FSimχ engines; `FSimSpark`'s frame overload builds it with [[GraphFrames.toLocal]].
   *
   * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays. The
-  * label views (Σ, label ids, label buckets, neighbour labels) and the undirected
-  * neighbours are built once per graph, on first use, and are not serialised.
+  * label views (Σ, label ids, label buckets, neighbour labels), the degree arrays and the
+  * undirected neighbours are built once per graph, on first use, and are not serialised.
   * Every graph's adjacency is built by [[LocalGraph.fromEdges]], which checks
   * its input; `duplicateEdges` counts the repeated edges it dropped.
   */
@@ -31,6 +31,10 @@ final class LocalGraph private (
 
   def outDeg(u: Int): Int = outAdj(u).length
   def inDeg(u: Int): Int  = inAdj(u).length
+
+  /** Every node's |N⁺(u)| and |N⁻(u)|, built once per graph. */
+  @transient lazy val outDegrees: Array[Int] = java.util.stream.IntStream.range(0, n).map(outDeg).toArray
+  @transient lazy val inDegrees: Array[Int] = java.util.stream.IntStream.range(0, n).map(inDeg).toArray
 
   /** Σ: the distinct labels, in first-occurrence order. */
   @transient lazy val sigma: IndexedSeq[String] = labels.distinct.toIndexedSeq

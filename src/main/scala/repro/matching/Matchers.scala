@@ -42,13 +42,13 @@ abstract class SeedExpandMatcher extends Matcher {
   def matchQuery(query: LocalGraph, data: LocalGraph): Map[Int, Int] = {
     val s = scores(query, data)
     val assigned = mutable.HashMap[Int, Int]()
-    val used = mutable.HashSet[Int]()
+    val used = new Array[Boolean](data.n)
 
     def bestGlobal(q: Int): Option[(Int, Double)] = {
       var bv = -1; var bs = -1.0
       var v = 0
       while (v < data.n) {
-        if (!used.contains(v) && eligible(query, data, q, v)) {
+        if (!used(v) && eligible(query, data, q, v)) {
           val sc = s(q, v)
           if (sc > bs) { bs = sc; bv = v }
         }
@@ -76,7 +76,7 @@ abstract class SeedExpandMatcher extends Matcher {
         val local = mutable.HashSet[Int]()
         for (qa <- query.outAdj(q) if assigned.contains(qa)) local ++= data.inAdj(assigned(qa))
         for (qa <- query.inAdj(q) if assigned.contains(qa)) local ++= data.outAdj(assigned(qa))
-        val localEligible = local.filter(v => !used.contains(v) && eligible(query, data, q, v))
+        val localEligible = local.filter(v => !used(v) && eligible(query, data, q, v))
         // rank local candidates by how many query edges to assigned nodes
         // they realize (G-Finder-style lookahead), then by similarity
         def satisfied(v: Int): Int =
@@ -89,7 +89,7 @@ abstract class SeedExpandMatcher extends Matcher {
           } else bestGlobal(q)
         choice.foreach { case (v, sc) => if (sc > bs) { bs = sc; bq = q; bv = v } }
       }
-      if (bq >= 0) { assigned(bq) = bv; used += bv; progress = true }
+      if (bq >= 0) { assigned(bq) = bv; used(bv) = true; progress = true }
     }
     assigned.toMap
   }

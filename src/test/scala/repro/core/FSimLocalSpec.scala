@@ -421,7 +421,7 @@ class FSimLocalSpec extends AnyFunSuite {
       for (k <- Seq(1, 3, FSimPlan.localRanges)) {
         val cuts = plan.cuts(k)
         val res = plan.converge { (prev, next) =>
-          FSimPlan.inParallel(cuts)((lo, hi) => plan.sweep(prev, next, lo, hi, lo))
+          FSimPlan.maxInParallel(cuts)((lo, hi) => plan.sweep(prev, next, lo, hi, lo))
         }
         assert(bits(res) sameElements want, s"ub=$ub, $k ranges")
       }

@@ -154,6 +154,7 @@ class FSimPlanSpec extends AnyFunSuite {
 
   test("compiled keys, cells and slots equal a brute-force enumeration of the L ≥ θ pairs") {
     var halves, overlaps, empties = 0
+    var fullAndPartial, shared = 0 // plans with a full row (all of V2) and a partial one; with a shared row
     val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
       val plan = new FSimPlan(g1, g2, c)
       val (off, cellA, cellB, src) = (ints(plan, "off"), ints(plan, "cellA"), ints(plan, "cellB"), ints(plan, "src"))
@@ -163,6 +164,10 @@ class FSimPlanSpec extends AnyFunSuite {
       if (half) halves += 1
       if (overlapping(lists)) overlaps += 1
       if (lists.values.exists(_.isEmpty)) empties += 1
+      val rows = (0 until g1.n).map(plan.index.row)
+      if (rows.exists(_.length == n2) && rows.exists(r => r.nonEmpty && r.length < n2)) fullAndPartial += 1
+      if ((0 until g1.n).combinations(2).exists { case Seq(u, w) =>
+        g1.labels(u) != g1.labels(w) && (rows(u) eq rows(w)) }) shared += 1
       def eligibleNodes(x: Int, y: Int) = c.labelSim(g1.labels(x), g2.labels(y)) >= c.theta
       def key(x: Int, y: Int) = if (half && y < x) y.toLong * n2 + x else x.toLong * n2 + y
       val expected = for (u <- 0 until g1.n; v <- 0 until n2 if eligibleNodes(u, v) && (!half || u <= v))
@@ -185,6 +190,8 @@ class FSimPlanSpec extends AnyFunSuite {
     assert(result.passed, Pretty.pretty(result))
     assert(halves > 0 && overlaps > 0 && empties > 0,
       s"half plans: $halves, overlapping eligible lists: $overlaps, empty eligible lists: $empties")
+    assert(fullAndPartial > 0 && shared > 0,
+      s"plans with full and partial rows: $fullAndPartial, with two labels sharing a row: $shared")
   }
 
   test("FSim⁰: zero iterations give L(u, v), RoleSim's degree ratio or SimRank's identity per maintained pair") {
