@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.TaskContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.{GraphFrames, LocalGraph}
 
@@ -10,10 +12,10 @@ import repro.graph.{GraphFrames, LocalGraph}
   * into one contiguous block per `defaultParallelism` slot, by the plan's
   * cost-balanced [[FSimPlan.cuts]], so blocks hold near-equal neighbour
   * cells rather than equal pair counts. Each iteration broadcasts
-  * FSim^{k-1}, and one `mapPartitions` task per block runs
-  * [[FSimPlan.sweep]] over its range and returns that slice of FSim^k with
-  * the slice's max |Δ|; the max |Δ| < ε test runs in [[FSimPlan.converge]],
-  * outside the tasks.
+  * FSim^{k-1} and runs one job, `runJob` with a named [[SweepTask]]: one
+  * task per block runs [[FSimPlan.sweep]] over its range and returns that
+  * slice of FSim^k with the slice's max |Δ|; the max |Δ| < ε test runs in
+  * [[FSimPlan.converge]], outside the tasks.
   * Nothing is shuffled, so the scores equal FSimLocal's by construction and
   * do not depend on the shuffle partition count. The result is the
   * [[FSimResult]] that `converge` builds on the driver.
@@ -43,10 +45,7 @@ object FSimSpark {
     val blocks = sc.parallelize(cuts.init.zip(cuts.tail).toSeq, nBlocks)
     val res = plan.converge { (prev, next) =>
       val prevB = sc.broadcast(prev)
-      val delta = blocks.mapPartitions(_.map { case (lo, hi) =>
-        val slice = new Array[Double](hi - lo)
-        (lo, slice, planB.value.sweep(prevB.value, slice, lo, hi, 0))
-      }).collect().foldLeft(0.0) { case (max, (lo, slice, d)) =>
+      val delta = sc.runJob(blocks, new SweepTask(planB, prevB)).foldLeft(0.0) { case (max, (lo, slice, d)) =>
         System.arraycopy(slice, 0, next, lo, slice.length)
         math.max(max, d)
       }
@@ -55,5 +54,17 @@ object FSimSpark {
     }
     planB.destroy()
     res
+  }
+}
+
+/** Sweeps its block's (lo, hi) range into a fresh slice. A named class, not a
+  * lambda, so that Spark's ClosureCleaner skips it on every job.
+  */
+private final class SweepTask(plan: Broadcast[FSimPlan], prev: Broadcast[Array[Double]])
+    extends ((TaskContext, Iterator[(Int, Int)]) => (Int, Array[Double], Double)) with Serializable {
+  def apply(ctx: TaskContext, block: Iterator[(Int, Int)]): (Int, Array[Double], Double) = {
+    val (lo, hi) = block.next()
+    val slice = new Array[Double](hi - lo)
+    (lo, slice, plan.value.sweep(prev.value, slice, lo, hi, 0))
   }
 }

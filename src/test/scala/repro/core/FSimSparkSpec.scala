@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.GraphFrames
 
@@ -137,6 +140,35 @@ class FSimSparkSpec extends SparkSpec {
       (res.collectScores(), res.iterations)
     } finally spark.conf.set(key, saved)
     assert(runs.distinct.size === 1)
+  }
+
+  /** The run's result and the number of Spark jobs it started. */
+  private def countingJobs(run: => FSimResult): (FSimResult, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val res = run
+      ListenerBusDrain(sc)
+      (res, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("one Spark job per iteration, from graphs and from frames") {
+    val g1 = TestGraphs.uniform(9, 18, 2, 3)
+    val g2 = TestGraphs.uniform(10, 20, 2, 80)
+    val cfg = FSimConfig(Variant.BJ, 0.4, 0.4, theta = 0.0, epsilon = 0.01)
+    val (n1, e1) = (GraphFrames.nodesDF(spark, g1), GraphFrames.edgesDF(spark, g1))
+    val (n2, e2) = (GraphFrames.nodesDF(spark, g2), GraphFrames.edgesDF(spark, g2))
+    for ((res, jobs) <- Seq(countingJobs(FSimSpark.compute(spark, g1, g2, cfg)),
+                            countingJobs(FSimSpark.compute(spark, n1, e1, n2, e2, cfg)))) {
+      assert(res.iterations > 1)
+      assert(jobs === res.iterations)
+    }
   }
 
   test("empty candidate set returns an empty result") {

@@ -45,6 +45,27 @@ class GraphFramesSpec extends SparkSpec {
     assert(back.edges.toSeq === g.edges.toSeq)
   }
 
+  test("toLocal reads columns by name: reordered and extra columns give the same graph") {
+    import org.apache.spark.sql.functions.lit
+    val g = TestGraphs.uniform(25, 60, 3, 12)
+    val nodes = GraphFrames.nodesDF(spark, g)
+    val edges = GraphFrames.edgesDF(spark, g)
+    val canonical = GraphFrames.toLocal(nodes, edges)
+    val shuffled = GraphFrames.toLocal(
+      nodes.select(nodes("label"), nodes("id"), lit("x").as("extra")),
+      edges.select(edges("dst"), edges("src"), lit(1.5).as("weight")))
+    assert(shuffled.labels.toSeq === canonical.labels.toSeq)
+    assert(shuffled.edges.toSeq === canonical.edges.toSeq)
+  }
+
+  test("toLocal rejects a node frame without id and an edge frame without dst") {
+    import spark.implicits._
+    val nodes = Seq(0L -> "a", 1L -> "b").toDF("id", "label")
+    val edges = Seq(0L -> 1L).toDF("src", "dst")
+    intercept[IllegalArgumentException](GraphFrames.toLocal(nodes.withColumnRenamed("id", "node"), edges))
+    intercept[IllegalArgumentException](GraphFrames.toLocal(nodes, edges.drop("dst")))
+  }
+
   private def toLocal(nodes: Seq[(Long, String)], edges: Seq[(Long, Long)]) = {
     import spark.implicits._
     GraphFrames.toLocal(nodes.toDF("id", "label"), edges.toDF("src", "dst"))
