@@ -32,12 +32,19 @@ final class FSimResult private[core] (
     */
   def pairs: Iterator[(Int, Int, Double)] =
     Iterator.range(0, index.n1).flatMap { u =>
-      index.row(u).iterator.filter(v => maintained(fixed, index.slot(u, v)))
-        .map(v => (u, v, scores(index.slot(u, v))))
+      val (row, p) = (index.row(u), slots(u))
+      Iterator.range(0, row.length).filter(i => maintained(fixed, p(i))).map(i => (u, row(i), scores(p(i))))
     }
 
   /** Number of maintained candidate pairs |H|. */
-  def numPairs: Int = (0 until index.n1).map(u => index.row(u).count(v => maintained(fixed, index.slot(u, v)))).sum
+  def numPairs: Int = {
+    var n = 0
+    for (u <- 0 until index.n1) n += slots(u).count(maintained(fixed, _))
+    n
+  }
+
+  /** The slots of row u's pairs, in the order of its eligible list, each looked up once. */
+  private def slots(u: Int): Array[Int] = index.row(u).map(index.slot(u, _))
 
   /** Every maintained pair as (u, v) -> score, for small results. */
   def collectScores(): Map[(Long, Long), Double] =

@@ -2,11 +2,12 @@ package repro.core
 
 import java.util.stream.IntStream
 import repro.graph.LocalGraph
-import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, prefixSum}
+import FSimPlan.{MaxIters, ListCost, PairCost, inParallel, localRanges, maintained, prefixSum}
 
 /** Algorithm 1 for one (G1, G2, cfg), prepared once in four phases: the
   * label term per label pair and H_c ([[candidates]]), the neighbour cells
-  * ([[countCells]], [[fillCells]]) and the Eq.-6 pruning ([[bounds]]).
+  * ([[countCells]], [[fillCells]], read off G2's [[ClassLists]] without
+  * testing ineligible cells) and the Eq.-6 pruning ([[bounds]]).
   * [[converge]] runs the fixpoint from FSim⁰ ([[fsim0]]) by the Eq.-3
   * update over a pair range ([[sweep]]). Both engines run a plan and cut
   * each iteration into the cost-balanced pair ranges of [[cuts]]; they
@@ -44,9 +45,11 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   }
   private val l2: Array[Int] = g2.labelId
   private[core] val index: PairIndex = candidates()
-  private val off: Array[Int] = countCells()
+  @transient private[this] var lists = new ClassLists(index, g2) // phases 2 and 3 only: then dropped
+  private val off: Array[Int] = countCells(lists)
   private val cellA, cellB, src = new Array[Int](off(2 * size)) // three arrays, written by fillCells
-  fillCells()
+  fillCells(lists)
+  lists = null
   // G2's |N⁺(v)| and |N⁻(v)|: bounds runs sweep, which reads them, so they come before fixed
   private val out2 = g2.outDegrees
   private val in2 = g2.inDegrees
@@ -58,44 +61,73 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   /** Number of candidate pairs |H_c|, the length of the score vector. */
   def size: Int = index.size
 
-  /** The number of eligible cells of s1 × s2; with `fill`, cellA, cellB and src (the neighbour
-    * pair's slot) get them in (a, b) order from cell `at`. A count skips the rank tests of a row x
-    * eligible with all of V2. A slot is base(x) plus the rank just tested; only a half plan's
-    * mirrored cells (y < x) ask [[PairIndex.slot]].
+  /** Phase 2 for row u and one side: off(2p + side), for each pair p = (u, v) of lo until hi, is
+    * the number of eligible cells of s1 × N(v), N(v) from `adj2`: |N(v)| per neighbour x of a full
+    * class, plus, per class that v lists, its list's length times the tally in `mult` of s1's x.
     */
-  private def sideCells(s1: Array[Int], s2: Array[Int], fill: Boolean, at: Int): Int = {
+  private def countRow(u: Int, lo: Int, hi: Int, s1: Array[Int], adj2: Array[Array[Int]], lists: ClassLists,
+                       nb: ClassLists#Side, mult: Array[Int], off: Array[Int], side: Int): Unit = {
+    var full = 0
+    for (x <- s1) { val k = lists.classOf(x); if (k < 0) full += 1 else mult(k) += 1 }
+    var p = lo
+    while (p < hi) {
+      val v = index.col(u, p)
+      off(2 * p + side) = full * adj2(v).length + (if (full < s1.length) nb.count(v, mult) else 0)
+      p += 1
+    }
+    for (x <- s1) { val k = lists.classOf(x); if (k >= 0) mult(k) = 0 }
+  }
+
+  /** Phase 3 for one pair side: cells at until end of cellA, cellB and src (the neighbour pair's
+    * slot) get the eligible cells of s1 × s2, s2 G2 node v's neighbours, in (a, b) order. If the
+    * |s1| · |s2| rank tests exceed ListCost × (cells + |s1| + |s2|), a neighbour x of a class that
+    * is not full reads the b that `nb` lists for its class at v, put in `range` by
+    * [[ClassLists.Side.scatter]]; every other x rank-tests each b. A slot is base(x) plus y's
+    * rank; only a half plan's mirrored cells (y < x) ask [[PairIndex.slot]].
+    */
+  private def fillSide(s1: Array[Int], s2: Array[Int], lists: ClassLists, nb: ClassLists#Side, v: Int,
+                       range: Array[Int], at: Int, end: Int): Unit = {
+    val listed = nb != null && s1.length.toLong * s2.length > ListCost * (end - at + s1.length + s2.length)
+    if (listed) nb.scatter(v, range, on = true)
     var c = at
     var a = 0
     while (a < s1.length) {
-      val x = s1(a)
-      if (!fill && index.row(x).length == g2.n) c += s2.length
-      else {
-        val rank = index.ranks(x); val base = index.base(x)
+      val x = s1(a); val k = lists.classOf(x); val rank = index.ranks(x); val base = index.base(x)
+      if (k >= 0 && listed) {
+        var i = range(2 * k); val last = range(2 * k + 1) // read once: range may alias the cell arrays
+        while (i < last) {
+          val b = nb.position(i); val y = s2(b)
+          src(c) = if (index.half && y < x) index.slot(x, y) else base + rank(y); cellA(c) = a; cellB(c) = b
+          c += 1; i += 1
+        }
+      } else {
         var b = 0
         while (b < s2.length) {
           val y = s2(b); val r = rank(y)
-          if (r >= 0) {
-            if (fill) {
-              src(c) = if (index.half && y < x) index.slot(x, y) else base + r; cellA(c) = a; cellB(c) = b
-            }
-            c += 1
-          }
+          if (r >= 0) { src(c) = if (index.half && y < x) index.slot(x, y) else base + r; cellA(c) = a; cellB(c) = b; c += 1 }
           b += 1
         }
       }
       a += 1
     }
-    c - at
+    if (listed) nb.scatter(v, range, on = false)
   }
 
   /** Phase 1: the [[PairIndex]] of H_c's L ≥ θ pairs (half on G1 = G2 for b, bj and RoleSim), read
     * from the label matrix `term`, which it then turns into the label term: L, or 0 for §4.3
-    * SimRank, 1 for RoleSim. Σ1 labels with the same eligible Σ2 labels share one eligible row.
+    * SimRank, 1 for RoleSim. Σ1 labels with the same eligible Σ2 labels (one bit set, the key)
+    * share one eligible row, merged from those labels' nodes; all of V2 if every label is eligible.
     */
   private def candidates(): PairIndex = {
-    val rows = scala.collection.mutable.HashMap.empty[Seq[Boolean], Array[Int]]
-    val eligible2 = term.map(l => rows.getOrElseUpdate(l.map(_ >= cfg.theta).toSeq,
-      IntStream.range(0, g2.n).filter(y => l(l2(y)) >= cfg.theta).toArray))
+    val rows = scala.collection.mutable.HashMap.empty[java.util.BitSet, Array[Int]]
+    val eligible2 = term.map { l =>
+      val labels = new java.util.BitSet(l.length)
+      for (b <- l.indices if l(b) >= cfg.theta) labels.set(b)
+      rows.getOrElseUpdate(labels, if (labels.cardinality == l.length) Array.range(0, g2.n) else {
+        val row = labels.stream.flatMap(b => java.util.Arrays.stream(g2.nodesLabelled(g2.sigma(b)))).toArray
+        java.util.Arrays.sort(row); row
+      })
+    }
     if (cfg.variant == Variant.SimRankCfg || cfg.variant == Variant.RoleSimCfg)
       term.foreach(java.util.Arrays.fill(_, if (cfg.variant == Variant.RoleSimCfg) 1.0 else 0.0))
     new PairIndex(g1.labelId, eligible2, g2.n,
@@ -103,23 +135,28 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   }
 
   /** Phase 2: the CSR offsets of the cells per pair side, counted in parallel row by row. */
-  private def countCells(): Array[Int] = {
+  private def countCells(lists: ClassLists): Array[Int] = {
     val off = new Array[Int](2 * size + 1)
-    inParallel(index.rowStart)((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
-      val v = index.col(u, p)
-      off(2 * p + 1) = sideCells(g1.outAdj(u), g2.outAdj(v), fill = false, 0)
-      off(2 * p + 2) = sideCells(g1.inAdj(u), g2.inAdj(v), fill = false, 0)
-    })
+    inParallel(index.rowStart) { (lo, hi) =>
+      if (lo < hi) {
+        val u = index.rowOf(lo); val mult = lists.scratch.get()
+        countRow(u, lo, hi, g1.outAdj(u), g2.outAdj, lists, lists.out, mult, off, 1)
+        countRow(u, lo, hi, g1.inAdj(u), g2.inAdj, lists, lists.in, mult, off, 2)
+      }
+    }
     prefixSum(off)
   }
 
   /** Phase 3: every pair side's cells, written from its offset, over the ranges of [[cuts]]. */
-  private def fillCells(): Unit =
-    inParallel(cuts(localRanges))((lo, hi) => index.foreachSlot(lo, hi) { (u, p) =>
-      val v = index.col(u, p)
-      sideCells(g1.outAdj(u), g2.outAdj(v), fill = true, off(2 * p))
-      sideCells(g1.inAdj(u), g2.inAdj(v), fill = true, off(2 * p + 1))
-    })
+  private def fillCells(lists: ClassLists): Unit =
+    inParallel(cuts(localRanges)) { (lo, hi) =>
+      val range = lists.scratch.get()
+      index.foreachSlot(lo, hi) { (u, p) =>
+        val v = index.col(u, p)
+        fillSide(g1.outAdj(u), g2.outAdj(v), lists, lists.out, v, range, off(2 * p), off(2 * p + 1))
+        fillSide(g1.inAdj(u), g2.inAdj(v), lists, lists.in, v, range, off(2 * p + 1), off(2 * p + 2))
+      }
+    }
 
   /** Phase 4, upper-bound updating (§3.4), null when off: per pair, NaN if its Eq.-6 bound is
     * ≥ β (maintained), else its fixed score α·UB; one parallel pass over the ranges of [[cuts]].
@@ -259,6 +296,9 @@ private object FSimPlan {
     */
   final val PairCost = 2
 
+  /** Phase 3's cost of reading a pair side from lists, in rank tests per cell and per neighbour of u or v. */
+  final val ListCost = 4
+
   /** Ranges of a local parallel sweep: 16 per worker of the common pool, so
     * that work stealing evens out what the cost model misses. A constant.
     */
@@ -291,6 +331,65 @@ private object FSimPlan {
     IntStream.range(0, c.length - 1).parallel().mapToDouble(i => body(c(i), c(i + 1))).max().orElse(0.0)
 }
 
+/** Set-up state of an [[FSimPlan]]'s phases 2 and 3. A class is one distinct eligible row of the
+  * [[PairIndex]]; a full one (all of V2, as at θ = 0) needs no list. Per side of G2 (out, in), node
+  * v and class c that is not full, a [[Side]] lists the positions b in N(v) whose node c may pair
+  * with, ascending: O(|V2| + Σ_y deg(y) · classes(y)) entries, classes(y) those of y's label.
+  */
+private final class ClassLists(index: PairIndex, g2: LocalGraph) {
+  private val (labelClass, rows) = index.classes()
+  private val l2 = g2.labelId
+  private val ofLabel: Array[Array[Int]] = { // per Σ2 label, the classes that hold its nodes, ascending
+    val of = Array.fill(g2.sigma.length)(Array.newBuilder[Int]); val last = Array.fill(of.length)(-1)
+    for (c <- rows.indices; y <- rows(c) if last(l2(y)) != c) { last(l2(y)) = c; of(l2(y)) += c }
+    of.map(_.result())
+  }
+  val classOf: Array[Int] = index.l1.map(labelClass(_)) // per G1 node
+  /** Per thread, two zeros per class: [[Side.count]]'s tallies or [[Side.scatter]]'s ranges. */
+  val scratch: ThreadLocal[Array[Int]] = ThreadLocal.withInitial(() => new Array[Int](2 * rows.length))
+  // without a class that is not full (every Table-6 query at θ = 0) no list is read, so none is built
+  val out: Side = if (rows.isEmpty) null else new Side(g2.outAdj)
+  val in: Side = if (rows.isEmpty) null else new Side(g2.inAdj)
+
+  /** Node v's entries are at(v) until at(v + 1): (c << 32) | b per b in N(v) and class c of its
+    * node, ascending, so each class's positions are one run; a run starting at e ends at runEnd(e).
+    * Built by a count, a prefix sum and a fill over `adj`, in parallel over v.
+    */
+  final class Side(adj: Array[Array[Int]]) {
+    private val at = new Array[Int](adj.length + 1)
+    for (v <- adj.indices; y <- adj(v)) at(v + 1) += ofLabel(l2(y)).length
+    prefixSum(at)
+    private val entry = new Array[Long](at(adj.length))
+    private val runEnd = new Array[Int](entry.length)
+    IntStream.range(0, adj.length).parallel().forEach { v =>
+      var e = at(v); var b = 0
+      while (b < adj(v).length) { for (c <- ofLabel(l2(adj(v)(b)))) { entry(e) = c.toLong << 32 | b; e += 1 }; b += 1 }
+      java.util.Arrays.sort(entry, at(v), e)
+      while (e > at(v)) { e -= 1; runEnd(e) = if (e + 1 < at(v + 1) && cls(e + 1) == cls(e)) runEnd(e + 1) else e + 1 }
+    }
+    private def cls(e: Int): Int = (entry(e) >>> 32).toInt
+
+    /** Σ over the runs of v of the tally mult(c) of their class c times their length. */
+    def count(v: Int, mult: Array[Int]): Int = {
+      var n = 0; var e = at(v)
+      while (e < at(v + 1)) { n += mult(cls(e)) * (runEnd(e) - e); e = runEnd(e) }
+      n
+    }
+
+    /** Sets range(2c) until range(2c + 1) to the run of each class c that v lists, or back to 0. */
+    def scatter(v: Int, range: Array[Int], on: Boolean): Unit = {
+      var e = at(v)
+      while (e < at(v + 1)) {
+        range(2 * cls(e)) = if (on) e else 0; range(2 * cls(e) + 1) = if (on) runEnd(e) else 0
+        e = runEnd(e)
+      }
+    }
+
+    /** The position b of entry e. */
+    def position(e: Int): Int = entry(e).toInt
+  }
+}
+
 /** The one map from a pair to its score-vector slot and back, which
   * [[FSimPlan]], [[FSimResult]] and the FINAL-like aligner read through. Under
   * Remark 2's label constraint, H_c and every eligible neighbour pair are the
@@ -313,6 +412,16 @@ private[repro] final class PairIndex(val l1: Array[Int], eligible2: Array[Array[
       val rank = new Array[Int](n2); java.util.Arrays.fill(rank, -1)
       for (i <- vs.indices) rank(vs(i)) = i; rank
     }))
+  }
+
+  /** Per Σ1 label its class: its row's id among the distinct rows that are not all of V2, or −1 for
+    * a full row; and those rows by id. For the plan's set-up, not kept.
+    */
+  def classes(): (Array[Int], Array[Array[Int]]) = {
+    val id = new java.util.IdentityHashMap[Array[Int], Integer]
+    val rows = Array.newBuilder[Array[Int]]
+    (eligible2.map(r => if (r.length == n2) -1 else id.computeIfAbsent(r, { r => rows += r; id.size }).intValue),
+      rows.result())
   }
 
   /** Where row u's slots start in row(u): at v = u in a half plan (L(a, a) = 1 ≥ θ), else 0. */

@@ -111,6 +111,13 @@ class FSimPlanSpec extends AnyFunSuite {
     }, 1380,
       Seq(3559653011568414622L, 6914079000039321080L, -7582310069282464105L, 1613025591388822175L,
         4679487682596122012L, -1192994000646887303L, 0L)),
+    // Recorded from the plan whose count and fill rank-tested every neighbour pair.
+    ("bj, θ = 1, self-similarity, UbConfig(0, 0.5), JDK-shaped GraphGen graph (skew 0.9, 41 labels)", { () =>
+      val jdk = GraphGen.generate(GraphGen.Config("jdk", 150, 3500, 41, skew = 0.9), 9L)
+      new FSimPlan(jdk, jdk, cfg(Variant.BJ, 1.0).copy(ub = Some(UbConfig(0.0, 0.5))))
+    }, 1195,
+      Seq(-380528171393729301L, 1157555767002827141L, -1903166484147123491L, -8085008815778626632L,
+        2075774639436209820L, -8390335166629834929L, -6613665113632174257L)),
     ("SimRank configuration (full plan, pinned diagonal)",
       () => new FSimPlan(gen, gen, SimRankRoleSim.simRankConfig()), 3600,
       Seq(-3336890957056936679L, -6451125358844553457L, -9041904463928011961L, -4595538616116256923L,
@@ -152,37 +159,58 @@ class FSimPlanSpec extends AnyFunSuite {
     }
   }
 
+  /** Whether the plan's keys, cells and slots equal a brute-force enumeration of the L ≥ θ pairs of
+    * (g1, g2, c); `side(s1, s2, want)` sees each pair side's neighbours and wanted cells (a, b).
+    */
+  private def matchesBruteForce(g1: LocalGraph, g2: LocalGraph, c: FSimConfig, plan: FSimPlan)
+                               (side: (Array[Int], Array[Int], IndexedSeq[(Int, Int)]) => Unit): Boolean = {
+    val (off, cellA, cellB, src) = (ints(plan, "off"), ints(plan, "cellA"), ints(plan, "cellB"), ints(plan, "src"))
+    val n2 = g2.n
+    val half = halfPlan(g1, g2, c)
+    def eligibleNodes(x: Int, y: Int) = c.labelSim(g1.labels(x), g2.labels(y)) >= c.theta
+    def key(x: Int, y: Int) = if (half && y < x) y.toLong * n2 + x else x.toLong * n2 + y
+    val expected = for (u <- 0 until g1.n; v <- 0 until n2 if eligibleNodes(u, v) && (!half || u <= v))
+      yield u.toLong * n2 + v
+    val keys = keysOf(plan)
+    keys.toSeq == expected && keys.indices.forall { p =>
+      val (u, v) = ((keys(p) / n2).toInt, (keys(p) % n2).toInt) // rowOf(p) and col(u, p)
+      plan.index.slot(u, v) == p &&
+      Seq((g1.outAdj(u), g2.outAdj(v)), (g1.inAdj(u), g2.inAdj(v))).zipWithIndex.forall { case ((s1, s2), s) =>
+        val cells = off(2 * p + s) until off(2 * p + s + 1)
+        val want = for (a <- s1.indices; b <- s2.indices if eligibleNodes(s1(a), s2(b))) yield (a, b)
+        side(s1, s2, want)
+        cells.map(k => (cellA(k), cellB(k))) == want &&
+          cells.forall(k => keys(src(k)) == key(s1(cellA(k)), s2(cellB(k))))
+      }
+    }
+  }
+
+  /** Whether a neighbour row without cells lies between two rows with cells. */
+  private def gap(s1: Array[Int], want: IndexedSeq[(Int, Int)]): Boolean = {
+    val rowCells = s1.indices.map(a => want.count(_._1 == a))
+    rowCells.indices.exists(a => rowCells(a) == 0 && rowCells.take(a).exists(_ > 0) && rowCells.drop(a + 1).exists(_ > 0))
+  }
+
   test("compiled keys, cells and slots equal a brute-force enumeration of the L ≥ θ pairs") {
     var halves, overlaps, empties = 0
     var fullAndPartial, shared = 0 // plans with a full row (all of V2) and a partial one; with a shared row
+    var gaps, twoClasses = 0 // plans with a cell-less neighbour row between rows with cells; with a Σ2 label
+                             // eligible with two rows that are not all of V2
     val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
       val plan = new FSimPlan(g1, g2, c)
-      val (off, cellA, cellB, src) = (ints(plan, "off"), ints(plan, "cellA"), ints(plan, "cellB"), ints(plan, "src"))
       val n2 = g2.n
-      val half = halfPlan(g1, g2, c)
       val lists = eligible(g1, g2, c)
-      if (half) halves += 1
+      if (halfPlan(g1, g2, c)) halves += 1
       if (overlapping(lists)) overlaps += 1
       if (lists.values.exists(_.isEmpty)) empties += 1
       val rows = (0 until g1.n).map(plan.index.row)
       if (rows.exists(_.length == n2) && rows.exists(r => r.nonEmpty && r.length < n2)) fullAndPartial += 1
       if ((0 until g1.n).combinations(2).exists { case Seq(u, w) =>
         g1.labels(u) != g1.labels(w) && (rows(u) eq rows(w)) }) shared += 1
-      def eligibleNodes(x: Int, y: Int) = c.labelSim(g1.labels(x), g2.labels(y)) >= c.theta
-      def key(x: Int, y: Int) = if (half && y < x) y.toLong * n2 + x else x.toLong * n2 + y
-      val expected = for (u <- 0 until g1.n; v <- 0 until n2 if eligibleNodes(u, v) && (!half || u <= v))
-        yield u.toLong * n2 + v
-      val keys = keysOf(plan)
-      keys.toSeq == expected && keys.indices.forall { p =>
-        val (u, v) = ((keys(p) / n2).toInt, (keys(p) % n2).toInt) // rowOf(p) and col(u, p)
-        plan.index.slot(u, v) == p &&
-        Seq((g1.outAdj(u), g2.outAdj(v)), (g1.inAdj(u), g2.inAdj(v))).zipWithIndex.forall { case ((s1, s2), side) =>
-          val cells = off(2 * p + side) until off(2 * p + side + 1)
-          val want = for (a <- s1.indices; b <- s2.indices if eligibleNodes(s1(a), s2(b))) yield (a, b)
-          cells.map(k => (cellA(k), cellB(k))) == want &&
-            cells.forall(k => keys(src(k)) == key(s1(cellA(k)), s2(cellB(k))))
-        }
-      }
+      val partial = lists.values.toSet.filter(_.size < n2)
+      if (g2.labels.distinct.exists(l => partial.count(_.exists(g2.labels(_) == l)) >= 2)) twoClasses += 1
+      var gapped = false
+      matchesBruteForce(g1, g2, c, plan)((s1, _, want) => gapped ||= gap(s1, want)) && { if (gapped) gaps += 1; true }
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
       .withInitialSeed(Seed(20210419L))
@@ -192,6 +220,72 @@ class FSimPlanSpec extends AnyFunSuite {
       s"half plans: $halves, overlapping eligible lists: $overlaps, empty eligible lists: $empties")
     assert(fullAndPartial > 0 && shared > 0,
       s"plans with full and partial rows: $fullAndPartial, with two labels sharing a row: $shared")
+    assert(gaps > 0 && twoClasses > 0,
+      s"plans with a cell-less row between rows with cells: $gaps, with a Σ2 label in two partial rows: $twoClasses")
+  }
+
+  test("class lists: per G2 node and partial row, the positions of its neighbours that the row holds") {
+    var multi, twoClasses = 0 // nodes that list two classes; Σ2 labels eligible with two classes
+    val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
+      val index = new FSimPlan(g1, g2, c).index
+      val classRows = index.classes()._2
+      val lists = new ClassLists(index, g2)
+      val range = lists.scratch.get()
+      if (g2.labels.distinct.exists(l => classRows.count(_.exists(g2.labels(_) == l)) >= 2)) twoClasses += 1
+      (0 until g1.n).forall(x => lists.classOf(x) == classRows.indexWhere(_ eq index.row(x))) &&
+      Seq((g2.outAdj, lists.out), (g2.inAdj, lists.in)).forall { case (adj, side) =>
+        classRows.isEmpty && side == null || (0 until g2.n).forall { v =>
+          side.scatter(v, range, on = true)
+          val listed = classRows.indices.map(k => (range(2 * k) until range(2 * k + 1)).map(side.position))
+          side.scatter(v, range, on = false)
+          if (listed.count(_.nonEmpty) >= 2) multi += 1
+          side.count(v, Array.fill(classRows.length)(1)) == listed.map(_.length).sum && range.forall(_ == 0) &&
+            listed == classRows.toSeq.map(row => adj(v).indices.filter(b => row.contains(adj(v)(b))))
+        }
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(multi > 0 && twoClasses > 0, s"nodes listing two classes: $multi, Σ2 labels in two partial rows: $twoClasses")
+  }
+
+  /** Denser graphs of 24–40 nodes over 12 flat labels at θ = 1, G2 = G1 half the time, every paper
+    * variant, with and without UbConfig(0, 0.5): neighbourhoods large and selective enough that
+    * the fill reads pair sides from the class lists rather than rank-testing them.
+    */
+  private val listCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = {
+    val graph = for {
+      n <- Gen.choose(24, 40)
+      m <- Gen.choose(8 * n, 14 * n)
+      edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+      labels <- Gen.listOfN(n, Gen.choose(0, 11).map(l => s"l$l"))
+    } yield LocalGraph.fromEdges(labels.toArray, edges)
+    for {
+      g1 <- graph
+      g2 <- Gen.oneOf(Gen.const(g1), graph)
+      variant <- Gen.oneOf(Variant.paper)
+      ub <- Gen.oneOf(None, Some(UbConfig(alpha = 0.0, beta = 0.5)))
+    } yield (g1, g2, cfg(variant, 1.0).copy(ub = ub))
+  }
+
+  test("cells read from the class lists equal a brute-force enumeration on denser graphs") {
+    // a pair side whose products exceed ListCost × (cells + |N(u)| + |N(v)|) is filled from the lists
+    var listed, listedGaps = 0
+    val prop = Prop.forAll(listCase) { case (g1, g2, c) =>
+      matchesBruteForce(g1, g2, c, new FSimPlan(g1, g2, c)) { (s1, s2, want) =>
+        if (s1.length.toLong * s2.length > FSimPlan.ListCost * (want.length + s1.length + s2.length)) {
+          listed += 1
+          if (gap(s1, want)) listedGaps += 1
+        }
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(100).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(listed > 0 && listedGaps > 0, s"pair sides filled from lists: $listed, with a cell-less row: $listedGaps")
   }
 
   test("FSim⁰: zero iterations give L(u, v), RoleSim's degree ratio or SimRank's identity per maintained pair") {
