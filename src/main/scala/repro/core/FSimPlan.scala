@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.stream.IntStream
 import repro.graph.LocalGraph
-import FSimPlan.{MaxIters, ListCost, PairCost, inParallel, localRanges, maintained, prefixSum}
+import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, prefixSum}
 
 /** Algorithm 1 for one (G1, G2, cfg), prepared once in four phases: the
   * label term per label pair and H_c ([[candidates]]), the neighbour cells
@@ -33,6 +33,7 @@ import FSimPlan.{MaxIters, ListCost, PairCost, inParallel, localRanges, maintain
   * u ≤ v (P3), exact bit for bit (DESIGN.md §6). SimRank, which adds its
   * cells in (a, b) order and so is symmetric only to ~1e-16, keeps the full plan.
   */
+@SerialVersionUID(1L)
 final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Serializable {
 
   // Phase 1 (the label matrix, G2's label ids, H_c), then phases 2, 3 and 4; phase 5, fsim0, runs
@@ -78,39 +79,28 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     for (x <- s1) { val k = lists.classOf(x); if (k >= 0) mult(k) = 0 }
   }
 
-  /** Phase 3 for one pair side: cells at until end of cellA, cellB and src (the neighbour pair's
-    * slot) get the eligible cells of s1 × s2, s2 G2 node v's neighbours, in (a, b) order. If the
-    * |s1| · |s2| rank tests exceed ListCost × (cells + |s1| + |s2|), a neighbour x of a class that
-    * is not full reads the b that `nb` lists for its class at v, put in `range` by
-    * [[ClassLists.Side.scatter]]; every other x rank-tests each b. A slot is base(x) plus y's
-    * rank; only a half plan's mirrored cells (y < x) ask [[PairIndex.slot]].
+  /** Phase 3 for one pair side: cells from `at` of cellA, cellB and src (the neighbour pair's slot)
+    * get the eligible cells of s1 × s2, s2 G2 node v's neighbours, in (a, b) order, and none is
+    * tested. A neighbour x of a full class pairs with every b; one of a class that is not full with
+    * the b that `nb` lists for its class at v, put in `range` by [[ClassLists.Side.scatter]]. A slot
+    * is base(x) plus y's rank; only a half plan's mirrored cells (y < x) ask [[PairIndex.slot]].
     */
   private def fillSide(s1: Array[Int], s2: Array[Int], lists: ClassLists, nb: ClassLists#Side, v: Int,
-                       range: Array[Int], at: Int, end: Int): Unit = {
-    val listed = nb != null && s1.length.toLong * s2.length > ListCost * (end - at + s1.length + s2.length)
-    if (listed) nb.scatter(v, range, on = true)
+                       range: Array[Int], at: Int): Unit = {
+    if (nb != null) nb.scatter(v, range, on = true)
     var c = at
     var a = 0
     while (a < s1.length) {
       val x = s1(a); val k = lists.classOf(x); val rank = index.ranks(x); val base = index.base(x)
-      if (k >= 0 && listed) {
-        var i = range(2 * k); val last = range(2 * k + 1) // read once: range may alias the cell arrays
-        while (i < last) {
-          val b = nb.position(i); val y = s2(b)
-          src(c) = if (index.half && y < x) index.slot(x, y) else base + rank(y); cellA(c) = a; cellB(c) = b
-          c += 1; i += 1
-        }
-      } else {
-        var b = 0
-        while (b < s2.length) {
-          val y = s2(b); val r = rank(y)
-          if (r >= 0) { src(c) = if (index.half && y < x) index.slot(x, y) else base + r; cellA(c) = a; cellB(c) = b; c += 1 }
-          b += 1
-        }
+      var i = if (k < 0) 0 else range(2 * k); val last = if (k < 0) s2.length else range(2 * k + 1)
+      while (i < last) {
+        val b = if (k < 0) i else nb.position(i); val y = s2(b)
+        src(c) = if (index.half && y < x) index.slot(x, y) else base + rank(y); cellA(c) = a; cellB(c) = b
+        c += 1; i += 1
       }
       a += 1
     }
-    if (listed) nb.scatter(v, range, on = false)
+    if (nb != null) nb.scatter(v, range, on = false)
   }
 
   /** Phase 1: the [[PairIndex]] of H_c's L ≥ θ pairs (half on G1 = G2 for b, bj and RoleSim), read
@@ -153,8 +143,8 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       val range = lists.scratch.get()
       index.foreachSlot(lo, hi) { (u, p) =>
         val v = index.col(u, p)
-        fillSide(g1.outAdj(u), g2.outAdj(v), lists, lists.out, v, range, off(2 * p), off(2 * p + 1))
-        fillSide(g1.inAdj(u), g2.inAdj(v), lists, lists.in, v, range, off(2 * p + 1), off(2 * p + 2))
+        fillSide(g1.outAdj(u), g2.outAdj(v), lists, lists.out, v, range, off(2 * p))
+        fillSide(g1.inAdj(u), g2.inAdj(v), lists, lists.in, v, range, off(2 * p + 1))
       }
     }
 
@@ -232,14 +222,11 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     delta
   }
 
-  /** The sweep cost of pair p that [[cuts]] balances: its cells plus PairCost. */
-  private[core] def cost(p: Int): Long = off(2 * p + 2) - off(2 * p) + PairCost
-
-  /** Σ cost of pairs 0 until p, read from the CSR offsets. */
+  /** Σ sweep cost of pairs 0 until p, a pair's cost its cells plus PairCost, read from the CSR offsets. */
   private def costBefore(p: Int): Long = off(2 * p).toLong + PairCost.toLong * p
 
   /** k + 1 boundaries 0 = c(0) ≤ … ≤ c(k) = size that cut the pairs into k
-    * ranges of near-equal sweep [[cost]]: c(j) is the first pair whose cost
+    * ranges of near-equal sweep cost ([[costBefore]]): c(j) is the first pair whose cost
     * prefix reaches ⌈j · total / k⌉, so no range costs more than
     * ⌈total / k⌉ plus the cost of one of its pairs.
     */
@@ -295,9 +282,6 @@ private object FSimPlan {
     * their Ωχ and the pair's row and column. Used only to balance ranges.
     */
   final val PairCost = 2
-
-  /** Phase 3's cost of reading a pair side from lists, in rank tests per cell and per neighbour of u or v. */
-  final val ListCost = 4
 
   /** Ranges of a local parallel sweep: 16 per worker of the common pool, so
     * that work stealing evens out what the cost model misses. A constant.
@@ -400,6 +384,7 @@ private final class ClassLists(index: PairIndex, g2: LocalGraph) {
   * share one eligible2 array share one rank array of |V2| ints, and the Spark
   * broadcast carries each once with the plan.
   */
+@SerialVersionUID(1L)
 private[repro] final class PairIndex(val l1: Array[Int], eligible2: Array[Array[Int]], val n2: Int,
                                      val half: Boolean) extends Serializable {
 

@@ -1,5 +1,6 @@
 package repro
 
+import org.scalacheck.Gen
 import repro.graph.{GraphGen, LocalGraph}
 import scala.util.Random
 
@@ -18,4 +19,16 @@ object TestGraphs {
     val edges = Seq.fill(m)((rnd.nextInt(n), rnd.nextInt(n))).filter(e => e._1 != e._2)
     LocalGraph.fromEdges(labels, edges)
   }
+
+  /** A labelled digraph of 1–12 nodes over 1–3 labels for properties: its edges are drawn with
+    * self-loops and repeats (dropped and counted by `fromEdges`), and nodes may be isolated or
+    * have no out- or in-neighbours.
+    */
+  val small: Gen[LocalGraph] = for {
+    n <- Gen.choose(1, 12)
+    m <- Gen.choose(0, 3 * n)
+    edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    nLabels <- Gen.choose(1, 3)
+    labels <- Gen.listOfN(n, Gen.choose(0, nLabels - 1).map(l => s"l$l"))
+  } yield LocalGraph.fromEdges(labels.toArray, edges)
 }

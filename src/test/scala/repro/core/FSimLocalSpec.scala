@@ -219,21 +219,12 @@ class FSimLocalSpec extends AnyFunSuite {
     * θ ∈ {0, 1} with ε = 1e-8; G2 is G1 half the time, so exact simulations
     * (score 1) occur.
     */
-  private val paperCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = {
-    val graph = for {
-      n <- Gen.choose(1, 12)
-      m <- Gen.choose(0, 3 * n)
-      edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
-      nLabels <- Gen.choose(1, 3)
-      labels <- Gen.listOfN(n, Gen.choose(0, nLabels - 1).map(l => s"l$l"))
-    } yield LocalGraph.fromEdges(labels.toArray, edges)
-    for {
-      g1 <- graph
-      g2 <- Gen.oneOf(Gen.const(g1), graph)
-      variant <- Gen.oneOf(Variant.paper)
-      theta <- Gen.oneOf(0.0, 1.0)
-    } yield (g1, g2, cfg(variant).copy(theta = theta))
-  }
+  private val paperCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = for {
+    g1 <- TestGraphs.small
+    g2 <- Gen.oneOf(Gen.const(g1), TestGraphs.small)
+    variant <- Gen.oneOf(Variant.paper)
+    theta <- Gen.oneOf(0.0, 1.0)
+  } yield (g1, g2, cfg(variant).copy(theta = theta))
 
   /** A [[paperCase]] with upper-bound updating, UbConfig(0, β) for β ∈ {0.5, 1}. */
   private val ubCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = paperCase.flatMap { case (g1, g2, c) =>
@@ -474,18 +465,29 @@ class FSimLocalSpec extends AnyFunSuite {
     (new FSimPlan(g1, g2, cfg(Variant.BJ).copy(theta = theta)), k)
   }
 
+  /** The sweep cost per pair that [[FSimPlan.cuts]] balances: its cells, read from the plan's private
+    * CSR offsets `off` by reflection, plus PairCost.
+    */
+  private def costs(plan: FSimPlan): Int => Long = {
+    val f = classOf[FSimPlan].getDeclaredFields.find(f => f.getName == "off" || f.getName.endsWith("$$off")).get
+    f.setAccessible(true)
+    val off = f.get(plan).asInstanceOf[Array[Int]]
+    p => off(2 * p + 2) - off(2 * p) + FSimPlan.PairCost
+  }
+
   test("cuts run from 0 to size and no range costs over ⌈total/k⌉ plus one pair") {
     var empty, fewerThanK = 0
     val prop = Prop.forAll(cutsCase) { case (plan, k) =>
       if (plan.size == 0) empty += 1
       if (plan.size < k) fewerThanK += 1
       val c = plan.cuts(k)
-      val total = (0 until plan.size).map(plan.cost).sum
+      val cost = costs(plan)
+      val total = (0 until plan.size).map(cost).sum
       val cap = (total + k - 1) / k
       c.length == k + 1 && c(0) == 0 && c(k) == plan.size &&
         (0 until k).forall { j =>
           val range = c(j) until c(j + 1)
-          range.isEmpty || range.map(plan.cost).sum <= cap + range.map(plan.cost).max
+          range.isEmpty || range.map(cost).sum <= cap + range.map(cost).max
         }
     }
     check(prop)

@@ -191,11 +191,20 @@ class FSimPlanSpec extends AnyFunSuite {
     rowCells.indices.exists(a => rowCells(a) == 0 && rowCells.take(a).exists(_ > 0) && rowCells.drop(a + 1).exists(_ > 0))
   }
 
+  /** Whether x's class is partial (its row is not all of V2), so that the fill writes x's cells from its class runs. */
+  private def partialClass(plan: FSimPlan, x: Int): Boolean = plan.index.row(x).length < plan.index.n2
+
+  /** How many wanted cells (a, b) of a half plan mirror a pair (y < x) and come from a class run. */
+  private def mirroredFromRuns(plan: FSimPlan, s1: Array[Int], s2: Array[Int], want: IndexedSeq[(Int, Int)]): Int =
+    if (!plan.index.half) 0 else want.count { case (a, b) => s2(b) < s1(a) && partialClass(plan, s1(a)) }
+
   test("compiled keys, cells and slots equal a brute-force enumeration of the L ≥ θ pairs") {
     var halves, overlaps, empties = 0
     var fullAndPartial, shared = 0 // plans with a full row (all of V2) and a partial one; with a shared row
     var gaps, twoClasses = 0 // plans with a cell-less neighbour row between rows with cells; with a Σ2 label
                              // eligible with two rows that are not all of V2
+    var mixed, mirrored = 0 // pair sides with cells of a full-class and of a partial-class neighbour; half-plan
+                            // cells (y < x) of a partial-class neighbour, written from its class run
     val prop = Prop.forAll(planCase) { case (g1, g2, c) =>
       val plan = new FSimPlan(g1, g2, c)
       val n2 = g2.n
@@ -210,7 +219,11 @@ class FSimPlanSpec extends AnyFunSuite {
       val partial = lists.values.toSet.filter(_.size < n2)
       if (g2.labels.distinct.exists(l => partial.count(_.exists(g2.labels(_) == l)) >= 2)) twoClasses += 1
       var gapped = false
-      matchesBruteForce(g1, g2, c, plan)((s1, _, want) => gapped ||= gap(s1, want)) && { if (gapped) gaps += 1; true }
+      matchesBruteForce(g1, g2, c, plan) { (s1, s2, want) =>
+        gapped ||= gap(s1, want)
+        if (want.exists(w => partialClass(plan, s1(w._1))) && want.exists(w => !partialClass(plan, s1(w._1)))) mixed += 1
+        mirrored += mirroredFromRuns(plan, s1, s2, want)
+      } && { if (gapped) gaps += 1; true }
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1)
       .withInitialSeed(Seed(20210419L))
@@ -222,6 +235,8 @@ class FSimPlanSpec extends AnyFunSuite {
       s"plans with full and partial rows: $fullAndPartial, with two labels sharing a row: $shared")
     assert(gaps > 0 && twoClasses > 0,
       s"plans with a cell-less row between rows with cells: $gaps, with a Σ2 label in two partial rows: $twoClasses")
+    assert(mixed > 0 && mirrored > 0,
+      s"pair sides with full- and partial-class cells: $mixed, mirrored cells from class runs: $mirrored")
   }
 
   test("class lists: per G2 node and partial row, the positions of its neighbours that the row holds") {
@@ -253,7 +268,7 @@ class FSimPlanSpec extends AnyFunSuite {
 
   /** Denser graphs of 24–40 nodes over 12 flat labels at θ = 1, G2 = G1 half the time, every paper
     * variant, with and without UbConfig(0, 0.5): neighbourhoods large and selective enough that
-    * the fill reads pair sides from the class lists rather than rank-testing them.
+    * the class runs the fill reads skip most of N(v).
     */
   private val listCase: Gen[(LocalGraph, LocalGraph, FSimConfig)] = {
     val graph = for {
@@ -271,21 +286,24 @@ class FSimPlanSpec extends AnyFunSuite {
   }
 
   test("cells read from the class lists equal a brute-force enumeration on denser graphs") {
-    // a pair side whose products exceed ListCost × (cells + |N(u)| + |N(v)|) is filled from the lists
-    var listed, listedGaps = 0
+    // a neighbour of a partial class (a row that is not all of V2) is filled from its class run
+    var listed, listedGaps, mirrored = 0
     val prop = Prop.forAll(listCase) { case (g1, g2, c) =>
-      matchesBruteForce(g1, g2, c, new FSimPlan(g1, g2, c)) { (s1, s2, want) =>
-        if (s1.length.toLong * s2.length > FSimPlan.ListCost * (want.length + s1.length + s2.length)) {
+      val plan = new FSimPlan(g1, g2, c)
+      matchesBruteForce(g1, g2, c, plan) { (s1, s2, want) =>
+        if (s1.exists(partialClass(plan, _))) {
           listed += 1
           if (gap(s1, want)) listedGaps += 1
         }
+        mirrored += mirroredFromRuns(plan, s1, s2, want)
       }
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(100).withWorkers(1)
       .withInitialSeed(Seed(20210419L))
     val result = Test.check(params, prop)
     assert(result.passed, Pretty.pretty(result))
-    assert(listed > 0 && listedGaps > 0, s"pair sides filled from lists: $listed, with a cell-less row: $listedGaps")
+    assert(listed > 0 && listedGaps > 0 && mirrored > 0,
+      s"pair sides filled from lists: $listed, with a cell-less row: $listedGaps, mirrored cells from runs: $mirrored")
   }
 
   test("FSim⁰: zero iterations give L(u, v), RoleSim's degree ratio or SimRank's identity per maintained pair") {

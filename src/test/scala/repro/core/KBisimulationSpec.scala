@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 
@@ -36,5 +39,34 @@ class KBisimulationSpec extends AnyFunSuite {
           s"k=$k ($u,$v): score=${res.score(u, v)} clsEq=${cls(u) == cls(v)}")
       }
     }
+  }
+
+  test("Theorem 4 over generated graphs: FSim_b^k(u,v)=1 ⇔ u,v k-bisimilar, k = 1–3") {
+    var singleLabel, selfLoops, isolated, noOut, repeated, ones, fractions = 0
+    val prop = Prop.forAll(TestGraphs.small) { g =>
+      if (g.sigma.size == 1) singleLabel += 1
+      if ((0 until g.n).exists(u => g.outAdj(u).contains(u))) selfLoops += 1
+      if ((0 until g.n).exists(u => g.outAdj(u).isEmpty && g.inAdj(u).isEmpty)) isolated += 1
+      if ((0 until g.n).exists(u => g.outAdj(u).isEmpty && g.inAdj(u).nonEmpty)) noOut += 1
+      if (g.duplicateEdges > 0) repeated += 1
+      (1 to 3).forall { k =>
+        val cls = KBisimulation.classes(g, k)
+        val res = FSimLocal.compute(g, g,
+          FSimConfig(Variant.B, wPlus = 0.8, wMinus = 1e-12, theta = 0.0, exactIters = Some(k)))
+        (0 until g.n).forall(u => (0 until g.n).forall { v =>
+          val isOne = res.score(u, v) >= 1.0 - 1e-9
+          if (u != v) { if (isOne) ones += 1 else fractions += 1 }
+          isOne == (cls(u) == cls(v))
+        })
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(200).withWorkers(1)
+      .withInitialSeed(Seed(20210419L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(singleLabel > 0 && selfLoops > 0 && isolated > 0 && noOut > 0 && repeated > 0,
+      s"single label: $singleLabel, self-loops: $selfLoops, isolated nodes: $isolated, " +
+        s"nodes without out-neighbours: $noOut, repeated edges: $repeated")
+    assert(ones > 0 && fractions > 0, s"pairs u ≠ v at 1: $ones, below 1: $fractions")
   }
 }
