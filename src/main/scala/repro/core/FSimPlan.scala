@@ -21,7 +21,10 @@ import FSimPlan.{MaxIters, PairCost, inParallel, localRanges, maintained, prefix
   * off(2p) until off(2p + 1), its in cells off(2p + 1) until off(2p + 2).
   * Cell c is row cellA(c) and column cellB(c) of the two sorted adjacency
   * arrays, in (a, b) order, and reads its weight from slot src(c) of the
-  * score vector. That is 12 bytes per cell.
+  * score vector. That is 12 bytes per cell. Where N⁺(u) = N⁻(u) and N⁺(v) =
+  * N⁻(v) (both [[LocalGraph.mutual]], as on a bidirected graph), the in cells
+  * would repeat the out cells, so that shared in side's range is empty and the
+  * sweep reads the out term for both sides: the same value, bit for bit.
   *
   * The score vector has one slot per pair of H_c, laid out by the plan's
   * [[PairIndex]]. With upper-bound updating (§3.4), a pair whose bound is
@@ -46,6 +49,9 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
   }
   private val l2: Array[Int] = g2.labelId
   private[core] val index: PairIndex = candidates()
+  // per node, N⁺ = N⁻: a pair of two such nodes stores and sweeps its out cells only
+  private val mutual1 = g1.mutual
+  private val mutual2 = g2.mutual
   @transient private[this] var lists = new ClassLists(index, g2) // phases 2 and 3 only: then dropped
   private val off: Array[Int] = countCells(lists)
   private val cellA, cellB, src = new Array[Int](off(2 * size)) // three arrays, written by fillCells
@@ -124,7 +130,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
       half = (g1 eq g2) && Seq(Variant.B, Variant.BJ, Variant.RoleSimCfg).contains(cfg.variant))
   }
 
-  /** Phase 2: the CSR offsets of the cells per pair side, counted in parallel row by row. */
+  /** Phase 2: the CSR offsets of the cells per pair side, counted in parallel row by row; 0 for a shared in side. */
   private def countCells(lists: ClassLists): Array[Int] = {
     val off = new Array[Int](2 * size + 1)
     inParallel(index.rowStart) { (lo, hi) =>
@@ -132,19 +138,20 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
         val u = index.rowOf(lo); val mult = lists.scratch.get()
         countRow(u, lo, hi, g1.outAdj(u), g2.outAdj, lists, lists.out, mult, off, 1)
         countRow(u, lo, hi, g1.inAdj(u), g2.inAdj, lists, lists.in, mult, off, 2)
+        if (mutual1(u)) for (p <- lo until hi if mutual2(index.col(u, p))) off(2 * p + 2) = 0
       }
     }
     prefixSum(off)
   }
 
-  /** Phase 3: every pair side's cells, written from its offset, over the ranges of [[cuts]]. */
+  /** Phase 3: every pair side's cells but a shared in side's, written from its offset, over the ranges of [[cuts]]. */
   private def fillCells(lists: ClassLists): Unit =
     inParallel(cuts(localRanges)) { (lo, hi) =>
       val range = lists.scratch.get()
       index.foreachSlot(lo, hi) { (u, p) =>
         val v = index.col(u, p)
         fillSide(g1.outAdj(u), g2.outAdj(v), lists, lists.out, v, range, off(2 * p))
-        fillSide(g1.inAdj(u), g2.inAdj(v), lists, lists.in, v, range, off(2 * p + 1))
+        if (!(mutual1(u) && mutual2(v))) fillSide(g1.inAdj(u), g2.inAdj(v), lists, lists.in, v, range, off(2 * p + 1))
       }
     }
 
@@ -190,7 +197,7 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     * returns the range's max |Δ|. Ranges are independent, so any split of 0 until size gives the
     * same scores. With `prev` null, sets every pair's Eq.-6 bound instead (every neighbour score 1,
     * read from [[ones]]) and returns 0. One scratch serves the range, walked row by row: u's
-    * values are read once per row.
+    * values are read once per row. A pair of two nodes with N⁺ = N⁻ weights its out term twice.
     */
   def sweep(prev: Array[Double], next: Array[Double], lo: Int, hi: Int, at: Int): Double = {
     val s = scratch.get()
@@ -202,17 +209,19 @@ final class FSimPlan(g1: LocalGraph, g2: LocalGraph, cfg: FSimConfig) extends Se
     while (p < hi) {
       val end = math.min(hi, index.rowStart(u + 1))
       val row = index.row(u); val base = index.base(u)
-      val out1 = g1.outAdj(u).length; val in1 = g1.inAdj(u).length
+      val out1 = g1.outAdj(u).length; val in1 = g1.inAdj(u).length; val m1 = mutual1(u)
       val t = term(index.l1(u))
       while (p < end) {
         val v = row(p - base)
         val x =
           if (prev != null && !maintained(fixed, p)) fixed(p)
           else if (pin && u == v) 1.0
-          else
-            cfg.wPlus * side(w, s, off(2 * p), off(2 * p + 1), out1, out2(v)) +
-              cfg.wMinus * side(w, s, off(2 * p + 1), off(2 * p + 2), in1, in2(v)) +
-              cfg.wLabel * t(l2(v))
+          else {
+            val o = side(w, s, off(2 * p), off(2 * p + 1), out1, out2(v))
+            val i = side(w, s, off(2 * p + 1), off(2 * p + 2), in1, in2(v)) // no cells if shared: returns at once
+            // `&`: a test of m1 alone is loop-invariant, and the JIT would hoist it and deoptimise
+            cfg.wPlus * o + cfg.wMinus * (if (m1 & mutual2(v)) o else i) + cfg.wLabel * t(l2(v))
+          }
         next(at + p - lo) = x
         if (prev != null) { val d = math.abs(x - prev(p)); if (d > delta) delta = d }
         p += 1

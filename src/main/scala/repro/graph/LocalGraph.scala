@@ -11,8 +11,9 @@ import scala.util.Random
   * input of both FSimχ engines; `FSimSpark`'s frame overload builds it with [[GraphFrames.toLocal]].
   *
   * Adjacency is CSR-like: `outAdj(u)` / `inAdj(u)` are sorted arrays. The
-  * label views (Σ, label ids, label buckets, neighbour labels), the degree arrays and the
-  * undirected neighbours are built once per graph, on first use, and are not serialised.
+  * label views (Σ, label ids, label buckets, neighbour labels), the degree arrays, the
+  * [[mutual]] flags and the undirected neighbours are built once per graph, on first use, and
+  * are not serialised.
   * Every graph's adjacency is built by [[LocalGraph.fromEdges]], which checks
   * its input; `duplicateEdges` counts the repeated edges it dropped.
   */
@@ -35,6 +36,9 @@ final class LocalGraph private (
   /** Every node's |N⁺(u)| and |N⁻(u)|, built once per graph. */
   @transient lazy val outDegrees: Array[Int] = java.util.stream.IntStream.range(0, n).map(outDeg).toArray
   @transient lazy val inDegrees: Array[Int] = java.util.stream.IntStream.range(0, n).map(inDeg).toArray
+
+  /** Per node, whether N⁺(u) = N⁻(u): every edge at u runs both ways, as on a bidirected graph. */
+  @transient lazy val mutual: Array[Boolean] = Array.tabulate(n)(u => java.util.Arrays.equals(outAdj(u), inAdj(u)))
 
   /** Σ: the distinct labels, in first-occurrence order. */
   @transient lazy val sigma: IndexedSeq[String] = labels.distinct.toIndexedSeq

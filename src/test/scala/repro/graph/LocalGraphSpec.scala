@@ -146,10 +146,10 @@ class LocalGraphSpec extends AnyFunSuite {
   private val params = Test.Parameters.default.withMinSuccessfulTests(300).withWorkers(1).withInitialSeed(Seed(17L))
 
   /** Σ, the label ids, the label buckets (of Σ and of one absent label), the
-    * undirected neighbours and their label counts.
+    * undirected neighbours and their label counts, and the N⁺ = N⁻ flags.
     */
   private def views(g: LocalGraph) = (g.sigma, g.labelId.toSeq, (g.sigma :+ "absent").map(g.nodesLabelled(_).toSeq),
-    (0 until g.n).map(g.undirectedNeighbors(_).toSeq), (0 until g.n).map(g.neighborLabels))
+    (0 until g.n).map(g.undirectedNeighbors(_).toSeq), (0 until g.n).map(g.neighborLabels), g.mutual.toSeq)
 
   private def serialise(g: LocalGraph): Array[Byte] = {
     val bytes = new ByteArrayOutputStream()
@@ -159,23 +159,26 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("label views and undirected neighbours equal brute force, and are not serialised") {
-    var isolated, selfLoops = 0
+    var isolated, selfLoops, mutual = 0 // mutual: nodes with neighbours, every edge at them running both ways
     val result = Test.check(params, Prop.forAll(graphs) { g =>
       val unread = serialise(g)
       val sigma = g.labels.foldLeft(Vector.empty[String])((s, l) => if (s.contains(l)) s else s :+ l)
       val nbrs = (0 until g.n).map(u => (0 until g.n).filter(v => g.hasEdge(u, v) || g.hasEdge(v, u)))
       isolated += nbrs.count(_.isEmpty)
       selfLoops += (0 until g.n).count(u => g.hasEdge(u, u))
+      val bothWays = (0 until g.n).map(u => (0 until g.n).forall(v => g.hasEdge(u, v) == g.hasEdge(v, u)))
+      mutual += (0 until g.n).count(u => bothWays(u) && nbrs(u).nonEmpty)
       val brute = (sigma, g.labels.toSeq.map(sigma.indexOf(_)),
         (sigma :+ "absent").map(l => (0 until g.n).filter(g.labels(_) == l)), nbrs,
-        nbrs.map(vs => vs.map(g.labels).distinct.map(l => l -> vs.count(g.labels(_) == l)).toMap))
+        nbrs.map(vs => vs.map(g.labels).distinct.map(l => l -> vs.count(g.labels(_) == l)).toMap), bothWays)
       val read = views(g)
       val bytes = serialise(g)
       val copy = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[LocalGraph]
       read == brute && (bytes sameElements unread) && views(copy) == read
     })
     assert(result.passed, Pretty.pretty(result))
-    assert(isolated > 0 && selfLoops > 0, s"isolated nodes: $isolated; self-loops: $selfLoops")
+    assert(isolated > 0 && selfLoops > 0 && mutual > 0,
+      s"isolated nodes: $isolated; self-loops: $selfLoops; nodes with N⁺ = N⁻ ≠ ∅: $mutual")
   }
 
   /** Every row sorted and duplicate-free, and `inAdj` the transpose of `outAdj`. */
